@@ -41,12 +41,10 @@ from .partition import (
     PatchSet,
     coverage_check,
     grid_patch_centers,
-    kernel_value,
-    pou_weights,
     uniform_radius,
     wendland_c2,
 )
-from .pod import PODBasis, compute_pod, pod_trunk_eval
+from .pod import PODBasis, compute_pod
 from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk, export_basis
 from .training import Adam, AdamW, TrainConfig, TrainReport, inverse_time_lr, mse_loss, train
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -90,13 +88,10 @@ __all__ = [
     "grid_patch_centers",
     "init_mlp",
     "inverse_time_lr",
-    "kernel_value",
     "load_checkpoint",
     "mean_relative_l2",
     "mse_loss",
     "parse_config",
-    "pod_trunk_eval",
-    "pou_weights",
     "read_dataset",
     "relative_l2",
     "save_checkpoint",

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import os
 import platform
-import re
 import sys
 
 import numpy as np
@@ -22,7 +22,7 @@ from .data import read_dataset, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
 from .evaluation import evaluate_model
 from .runconfig import build_model, generate_dataset, parse_config, split_indices
-from .training import train
+from .training import OPTIMIZERS, train
 from .trunks import export_basis
 
 
@@ -44,12 +44,15 @@ def _write_manifest(path, config_text: str, seed) -> None:
         fh.write(config_text)
 
 
+def _override(spec, **values):
+    """``dataclasses.replace`` with the flags that were given; the spec's
+    own validation runs again on the result."""
+    return dataclasses.replace(spec, **{k: v for k, v in values.items() if v is not None})
+
+
 def cmd_gen(args) -> int:
     cfg = parse_config(_read_text(args.config))
-    if args.n is not None:
-        cfg.data.n = args.n
-    if args.seed is not None:
-        cfg.data.seed = args.seed
+    cfg = dataclasses.replace(cfg, data=_override(cfg.data, n=args.n, seed=args.seed))
     if os.path.exists(args.out) and not args.force:
         raise DataError(f"{args.out} exists; pass --force to overwrite")
     ds = generate_dataset(cfg.data)
@@ -60,54 +63,42 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _train_one_seed(config_text: str, dataset_path: str, seed: int, out_prefix: str):
+def _train_one_seed(cfg, dataset_path: str, seed: int, out_prefix: str):
     """One independent training job; safe to run in a worker process."""
-    cfg = parse_config(config_text)
+    cfg = dataclasses.replace(cfg, seeds=[seed], train=dataclasses.replace(cfg.train, seed=seed))
     ds = read_dataset(dataset_path)
     train_idx, _ = split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)
     model = build_model(cfg, ds, train_idx, seed)
-    run_cfg = cfg.train
-    run_cfg.seed = seed
     targets = ds.scalar_targets()
     ckpt = f"{out_prefix}-seed{seed}.odm"
     losscsv = f"{out_prefix}-seed{seed}.loss.csv"
     try:
-        report = train(model, ds.U[train_idx], targets[train_idx], ds.Y, run_cfg)
+        report = train(model, ds.U[train_idx], targets[train_idx], ds.Y, cfg.train)
     except NumericError as exc:
         if getattr(exc, "report", None) is not None:
             exc.report.to_csv(losscsv)
         raise
-    save_checkpoint(model, config_text, ckpt, seed=seed)
+    save_checkpoint(model, cfg.text, ckpt, seed=seed)
     report.to_csv(losscsv)
-    _write_manifest(f"{out_prefix}-seed{seed}.manifest.txt", config_text, seed)
+    _write_manifest(f"{out_prefix}-seed{seed}.manifest.txt", cfg.text, seed)
     return seed, ckpt, report.losses[-1], report.mean_epoch_seconds(), model.parameter_hash()
 
 
 def cmd_train(args) -> int:
-    text = _read_text(args.config)
-    cfg = parse_config(text)
-    if args.epochs is not None:
-        cfg.train.epochs = args.epochs
-    if args.lr0 is not None:
-        cfg.train.lr0 = args.lr0
-    if args.optimizer is not None:
-        cfg.train.optimizer = args.optimizer
-        if cfg.train.optimizer not in ("adam", "adamw"):
-            raise ConfigError(f"unknown optimizer {args.optimizer!r}")
-    seeds = cfg.seeds
-    if args.seeds:
-        seeds = [int(tok) for tok in args.seeds.replace(",", " ").split()]
-    # re-render scalar overrides into the config text stored in checkpoints
-    text = _render_overrides(text, cfg)
+    cfg = parse_config(_read_text(args.config))
+    cfg = dataclasses.replace(cfg, train=_override(
+        cfg.train, epochs=args.epochs, lr0=args.lr0, optimizer=args.optimizer,
+    ))
+    seeds = args.seeds or cfg.seeds
     jobs = max(1, args.jobs)
     results = []
     if jobs == 1 or len(seeds) == 1:
         for seed in seeds:
-            results.append(_train_one_seed(text, args.data, seed, args.out))
+            results.append(_train_one_seed(cfg, args.data, seed, args.out))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_train_one_seed, text, args.data, seed, args.out)
+                pool.submit(_train_one_seed, cfg, args.data, seed, args.out)
                 for seed in seeds
             ]
             results = [f.result() for f in futures]
@@ -115,41 +106,6 @@ def cmd_train(args) -> int:
         print(f"seed {seed}: final_loss={final_loss:.6g} "
               f"epoch_seconds={sec:.6g} params={phash} -> {ckpt}")
     return 0
-
-
-def _render_overrides(text: str, cfg) -> str:
-    """Fold CLI scalar overrides back into the [train] section so the
-    config text stored in checkpoints matches what actually ran."""
-    base = parse_config(text)
-    wanted = {
-        "epochs": cfg.train.epochs,
-        "optimizer": cfg.train.optimizer,
-        "lr0": cfg.train.lr0,
-    }
-    current = {
-        "epochs": base.train.epochs,
-        "optimizer": base.train.optimizer,
-        "lr0": base.train.lr0,
-    }
-    if wanted == current:
-        return text
-    changed = {k: v for k, v in wanted.items() if v != current[k]}
-    keys = "|".join(changed)
-    new = re.sub(
-        rf"^({keys})\s*=.*$",
-        lambda match: f"{match.group(1)} = {changed[match.group(1)]}",
-        text,
-        flags=re.M,
-    )
-    check = parse_config(new)
-    still_missing = [
-        k for k, v in changed.items() if getattr(check.train, k) != v
-    ]
-    if still_missing:
-        extra = "".join(f"{k} = {changed[k]}\n" for k in still_missing)
-        new = new.replace("[train]", f"[train]\n{extra}", 1)
-        parse_config(new)
-    return new
 
 
 def _select_split(cfg, ds, which: str):
@@ -188,7 +144,7 @@ def cmd_eval(args) -> int:
 def cmd_export_basis(args) -> int:
     ds = read_dataset(args.data)
     model, config_text, attrs = load_checkpoint(args.checkpoint, ds)
-    columns = [int(tok) for tok in args.columns.replace(",", " ").split()]
+    columns = args.columns
     if not columns:
         raise ConfigError("--columns must list at least one trunk column")
     try:
@@ -229,6 +185,11 @@ def cmd_inspect(args) -> int:
     raise DataError(f"{args.path}: unknown magic {magic!r}")
 
 
+def _int_list(raw: str) -> list:
+    """argparse type: comma- or space-separated integers."""
+    return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odnet",
@@ -251,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="output prefix for checkpoints")
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--lr0", type=float, default=None)
-    t.add_argument("--optimizer", default=None, choices=("adam", "adamw"))
-    t.add_argument("--seeds", default="", help="comma-separated seed list")
+    t.add_argument("--optimizer", default=None, choices=OPTIMIZERS)
+    t.add_argument("--seeds", type=_int_list, default="", help="comma-separated seed list")
     t.add_argument("--jobs", type=int, default=1, help="parallel seed processes")
     t.set_defaults(func=cmd_train)
 
@@ -267,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("export-basis", help="dump trunk basis columns as CSV")
     x.add_argument("checkpoint")
     x.add_argument("data")
-    x.add_argument("--columns", required=True, help="comma-separated column list")
+    x.add_argument("--columns", type=_int_list, required=True,
+                   help="comma-separated column list")
     x.add_argument("--out", required=True)
     x.set_defaults(func=cmd_export_basis)
 

@@ -76,18 +76,6 @@ class PatchSet:
         return self._radii
 
 
-def kernel_value(patch: Patch, y) -> float:
-    """Wendland kernel of the radial distance from the patch center,
-    scaled by the patch radius."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != patch.dimension:
-        raise ShapeError(
-            f"kernel_value: point dimension {y.shape[0]} != patch dimension {patch.dimension}"
-        )
-    r = np.linalg.norm(y - patch.center) / patch.radius
-    return wendland_c2(r)
-
-
 def kernel_matrix(ps: PatchSet, points: np.ndarray) -> np.ndarray:
     """Kernel values of every point against every patch, shape (B, P)."""
     points = np.asarray(points, dtype=np.float64)
@@ -98,12 +86,6 @@ def kernel_matrix(ps: PatchSet, points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - ps.centers[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     return wendland_c2(dist / ps.radii[None, :])
-
-
-def pou_weights(ps: PatchSet, y) -> np.ndarray:
-    """Normalized kernel weights at one point; errors if no patch covers it."""
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    return pou_weight_matrix(ps, y)[0]
 
 
 def pou_weight_matrix(ps: PatchSet, points: np.ndarray, strict: bool = True) -> np.ndarray:

@@ -65,15 +65,7 @@ def compute_pod(v_snapshots: np.ndarray, p: int, y_locations=None) -> PODBasis:
     if p < 1 or p > min(n, n_y):
         raise ValueError(f"p={p} out of range [1, {min(n, n_y)}]")
 
-    mu = v.mean(axis=1)
-    sigma = v.std(axis=1)  # population convention (divide by N_y)
-    floor = _DEGENERATE_TOL * np.maximum(1.0, np.abs(v).max(axis=1))
-    degenerate = sigma <= floor
-    if np.any(degenerate):
-        i = int(np.flatnonzero(degenerate)[0])
-        raise DataError(f"degenerate snapshot {i}: zero spatial standard deviation")
-
-    v_std = (v - mu[:, None]) / sigma[:, None]
+    v_std = standardize_snapshots(v)
     t = v_std.T @ v_std / n
     eigvals, eigvecs = np.linalg.eigh(t)  # ascending
     order = np.argsort(eigvals)[::-1][:p]
@@ -95,10 +87,16 @@ def _fix_signs(modes: np.ndarray) -> np.ndarray:
 
 
 def standardize_snapshots(v_snapshots: np.ndarray) -> np.ndarray:
-    """Per-snapshot standardization used by compute_pod, exposed for tests."""
+    """Remove each snapshot's spatial mean and divide by its population
+    spatial standard deviation. Raises DataError for a constant snapshot."""
     v = np.asarray(v_snapshots, dtype=np.float64)
     mu = v.mean(axis=1)
-    sigma = v.std(axis=1)
+    sigma = v.std(axis=1)  # population convention (divide by N_y)
+    floor = _DEGENERATE_TOL * np.maximum(1.0, np.abs(v).max(axis=1))
+    degenerate = sigma <= floor
+    if np.any(degenerate):
+        i = int(np.flatnonzero(degenerate)[0])
+        raise DataError(f"degenerate snapshot {i}: zero spatial standard deviation")
     return (v - mu[:, None]) / sigma[:, None]
 
 
@@ -115,19 +113,3 @@ def trunk_matrix(basis: PODBasis, p: int, modified: bool):
     if p > basis.n_modes:
         raise ValueError(f"basis has {basis.n_modes} modes, need {p}")
     return basis.modes[:, :p] / p, basis.mean_function
-
-
-def pod_trunk_eval(basis: PODBasis, y_index: int, p: int, modified: bool) -> np.ndarray:
-    """One trunk row at training location ``y_index`` (scaled by 1/p).
-
-    For the standard flavor the mean function is not part of the row; it
-    is the additive offset ``basis.mean_function[y_index]``.
-    """
-    y_index = int(y_index)
-    if y_index < 0 or y_index >= basis.n_locations:
-        raise IndexError(
-            f"y_index {y_index} out of range [0, {basis.n_locations}); "
-            "POD modes exist only at training sample locations"
-        )
-    cols, _ = trunk_matrix(basis, p, modified)
-    return cols[y_index]

@@ -10,7 +10,8 @@ configuration errors; nothing is silently ignored.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,22 +28,17 @@ from .partition import (
 )
 from .pod import compute_pod
 from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk
-from .training import OPTIMIZERS, TrainConfig
+from .training import TrainConfig
 
-_DATA_KEYS = {
-    "generator", "n", "seed", "grid", "modes", "branch_grid", "dt", "nu",
-    "t_final", "path",
+# Keys each trunk kind takes besides kind and p, with their defaults.
+_TRUNK_KEYS = {
+    "vanilla": {"hidden": (64, 64, 64)},
+    "pod": {"modified": True},
+    "pou": {"hidden": (64, 64, 64), "bbox": (), "grid": (), "select": None, "delta": 0.1},
 }
-_MODEL_KEYS = {"members", "branch_hidden", "activation"}
-_TRUNK_KEYS = {"kind", "p", "hidden", "modified", "bbox", "grid", "select", "delta"}
-_TRAIN_KEYS = {
-    "epochs", "optimizer", "lr0", "gamma", "decay_step", "weight_decay",
-    "batch", "seeds",
-}
-_EVAL_KEYS = {"test_count", "split_seed"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrunkSpec:
     """Declarative description of one trunk member."""
 
@@ -56,8 +52,33 @@ class TrunkSpec:
     select: tuple | None = None
     delta: float = 0.0
 
+    def __post_init__(self):
+        where = f"trunk {self.name!r}"
+        if self.kind not in _TRUNK_KEYS:
+            raise ConfigError(f"{where}: unknown kind {self.kind!r}")
+        if self.p < 1:
+            raise ConfigError(f"{where}: p must be >= 1")
+        if self.kind != "pod" and (not self.hidden or min(self.hidden) < 1):
+            raise ConfigError(f"{where}: hidden needs at least one width, all >= 1")
+        if self.kind != "pou":
+            return
+        if not self.bbox or len(self.bbox) != 2 * len(self.grid):
+            raise ConfigError(
+                f"{where}: bbox needs lo/hi per grid axis "
+                f"(got {len(self.bbox)} numbers for {len(self.grid)} axes)"
+            )
+        if any(hi <= lo for lo, hi in zip(self.bbox[0::2], self.bbox[1::2])):
+            raise ConfigError(f"{where}: bbox needs hi > lo on every axis")
+        if min(self.grid) < 1:
+            raise ConfigError(f"{where}: grid needs at least one node per axis")
+        nodes = math.prod(self.grid)
+        if self.select is not None and any(i < 0 or i >= nodes for i in self.select):
+            raise ConfigError(f"{where}: select indices must lie in [0, {nodes})")
+        if self.delta < 0.0:
+            raise ConfigError(f"{where}: delta must be >= 0")
 
-@dataclass
+
+@dataclass(frozen=True)
 class DataSpec:
     generator: str
     n: int = 240
@@ -70,16 +91,24 @@ class DataSpec:
     t_final: float = 0.5
     path: str = ""
 
+    def __post_init__(self):
+        if self.generator not in ("antiderivative", "rd2d", "file"):
+            raise ConfigError(f"unknown generator {self.generator!r}")
+        if (self.generator == "file") != bool(self.path):
+            raise ConfigError("generator=file requires a path, and path needs generator=file")
+        for key, low in (("n", 1), ("branch_grid", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"[data] {key} must be >= {low}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class EvalSpec:
     test_count: int = 40
     split_seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    text: str
     data: DataSpec
     members: list
     branch_hidden: tuple
@@ -88,13 +117,69 @@ class RunConfig:
     seeds: list
     eval: EvalSpec = field(default_factory=EvalSpec)
 
+    def __post_init__(self):
+        names = [m.name for m in self.members]
+        if not names:
+            raise ConfigError("[model] members must list at least one trunk")
+        if len(set(names)) != len(names):
+            raise ConfigError("[model] members must not list a trunk twice")
+        if not self.branch_hidden or min(self.branch_hidden) < 1:
+            raise ConfigError("branch_hidden needs at least one width, all >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("[train] seeds must list at least one seed, all >= 0")
+
+    @property
+    def text(self) -> str:
+        """Canonical INI form of the fields: every section, only the keys
+        of each trunk's kind, floats via repr. Comments and key order of
+        a parsed source are not kept; parse_config(cfg.text) == cfg."""
+        t = self.train
+        sections = [
+            ("data", [(f.name, getattr(self.data, f.name)) for f in fields(DataSpec)]),
+            ("model", [("members", [m.name for m in self.members]),
+                       ("branch_hidden", self.branch_hidden),
+                       ("activation", self.activation)]),
+            *((f"trunk.{m.name}", [("kind", m.kind), ("p", m.p)]
+               + [(k, getattr(m, k)) for k in _TRUNK_KEYS[m.kind]])
+              for m in self.members),
+            ("train", [("epochs", t.epochs), ("optimizer", t.optimizer), ("lr0", t.lr0),
+                       ("gamma", t.gamma), ("decay_step", t.decay_step),
+                       ("weight_decay", t.weight_decay), ("batch", t.batch_size),
+                       ("seeds", self.seeds)]),
+            ("eval", [(f.name, getattr(self.eval, f.name)) for f in fields(EvalSpec)]),
+        ]
+        return "\n".join(
+            f"[{name}]\n" + "".join(
+                f"{key} = {_format(value)}\n" for key, value in pairs
+                if value is not None and value != ""
+            )
+            for name, pairs in sections
+        )
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return " ".join(_format(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
 
 def _ints(raw: str):
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
 def _floats(raw: str):
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(_float(tok) for tok in raw.replace(",", " ").split())
 
 
 def _bool(raw: str) -> bool:
@@ -103,15 +188,44 @@ def _bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {raw!r}")
+    raise ValueError(raw)
 
 
-def _check_keys(section: str, present, allowed):
-    unknown = set(present) - allowed
+_DATA_READERS = {
+    "generator": str.strip, "n": int, "seed": int, "grid": int, "modes": int,
+    "branch_grid": int, "dt": _float, "nu": _float, "t_final": _float, "path": str.strip,
+}
+_MODEL_READERS = {
+    "members": lambda raw: raw.replace(",", " ").split(),
+    "branch_hidden": _ints,
+    "activation": str.strip,
+}
+_TRUNK_READERS = {
+    "p": int, "hidden": _ints, "modified": _bool, "bbox": _floats, "grid": _ints,
+    "select": lambda raw: _ints(raw) or None, "delta": _float,
+}
+_TRAIN_READERS = {
+    "epochs": int, "optimizer": str.strip, "lr0": _float, "gamma": _float,
+    "decay_step": int, "weight_decay": _float, "batch": int, "seeds": _ints,
+}
+_EVAL_READERS = {"test_count": int, "split_seed": int}
+
+
+def _read(section, readers) -> dict:
+    """Convert the keys present in ``section``; an absent key keeps its
+    dataclass default. Unknown keys and unreadable values name the key."""
+    unknown = set(section) - set(readers)
     if unknown:
         raise ConfigError(
-            f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
+            f"unknown key(s) in [{section.name}]: {', '.join(sorted(unknown))}"
         )
+    out = {}
+    for key, raw in section.items():
+        try:
+            out[key] = readers[key](raw)
+        except ValueError:
+            raise ConfigError(f"[{section.name}] {key}: cannot read {raw.strip()!r}") from None
+    return out
 
 
 def parse_config(text: str) -> RunConfig:
@@ -130,40 +244,9 @@ def parse_config(text: str) -> RunConfig:
         if sec not in parser:
             raise ConfigError(f"missing required section [{sec}]")
 
-    d = parser["data"]
-    _check_keys("data", d.keys(), _DATA_KEYS)
-    generator = d.get("generator", "").strip()
-    if generator not in ("antiderivative", "rd2d", "file"):
-        raise ConfigError(f"unknown generator {generator!r}")
-    if generator == "file" and not d.get("path", "").strip():
-        raise ConfigError("generator=file requires a path")
-    if generator != "file" and d.get("path", "").strip():
-        raise ConfigError("path is only valid with generator=file")
-    data = DataSpec(
-        generator=generator,
-        n=int(d.get("n", "240")),
-        seed=int(d.get("seed", "0")),
-        grid=int(d.get("grid", "0")),
-        modes=int(d.get("modes", "5")),
-        branch_grid=int(d.get("branch_grid", "8")),
-        dt=float(d["dt"]) if "dt" in d else None,
-        nu=float(d.get("nu", "0.1")),
-        t_final=float(d.get("t_final", "0.5")),
-        path=d.get("path", "").strip(),
-    )
-
-    m = parser["model"]
-    _check_keys("model", m.keys(), _MODEL_KEYS)
-    member_names = [tok for tok in m.get("members", "").replace(",", " ").split()]
-    if not member_names:
-        raise ConfigError("[model] members must list at least one trunk")
-    branch_hidden = _ints(m.get("branch_hidden", "64 64"))
-    if not branch_hidden:
-        raise ConfigError("branch_hidden needs at least one width")
-    activation = m.get("activation", "tanh").strip()
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
-
+    data = DataSpec(**{"generator": "", **_read(parser["data"], _DATA_READERS)})
+    model = _read(parser["model"], _MODEL_READERS)
+    member_names = model.get("members", [])
     members = []
     for name in member_names:
         sec = f"trunk.{name}"
@@ -175,79 +258,31 @@ def parse_config(text: str) -> RunConfig:
         if sec.startswith("trunk.") and sec not in declared:
             raise ConfigError(f"section [{sec}] is not listed in [model] members")
 
-    t = parser["train"]
-    _check_keys("train", t.keys(), _TRAIN_KEYS)
-    seeds = list(_ints(t.get("seeds", "0")))
-    if not seeds:
-        raise ConfigError("[train] seeds must list at least one seed")
-    train = TrainConfig(
-        epochs=int(t.get("epochs", "5000")),
-        optimizer=t.get("optimizer", "adam").strip(),
-        lr0=float(t.get("lr0", "1e-3")),
-        gamma=float(t.get("gamma", "0.5")),
-        decay_step=int(t.get("decay_step", "0")),
-        weight_decay=float(t.get("weight_decay", "1e-4")),
-        batch_size=int(t.get("batch", "0")),
-        seed=seeds[0],
-    )
-    if train.optimizer not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer {train.optimizer!r}")
-
-    ev = EvalSpec()
-    if "eval" in parser:
-        e = parser["eval"]
-        _check_keys("eval", e.keys(), _EVAL_KEYS)
-        ev = EvalSpec(
-            test_count=int(e.get("test_count", "40")),
-            split_seed=int(e.get("split_seed", "0")),
-        )
-
+    train = _read(parser["train"], _TRAIN_READERS)
+    seeds = list(train.pop("seeds", (0,)))
+    if "batch" in train:
+        train["batch_size"] = train.pop("batch")
+    ev = _read(parser["eval"], _EVAL_READERS) if "eval" in parser else {}
     return RunConfig(
-        text=text,
         data=data,
         members=members,
-        branch_hidden=branch_hidden,
-        activation=activation,
-        train=train,
+        branch_hidden=model.get("branch_hidden", (64, 64)),
+        activation=model.get("activation", "tanh"),
+        train=TrainConfig(**train, seed=seeds[0] if seeds else 0),
         seeds=seeds,
-        eval=ev,
+        eval=EvalSpec(**ev),
     )
 
 
 def _parse_trunk(name: str, section) -> TrunkSpec:
-    _check_keys(f"trunk.{name}", section.keys(), _TRUNK_KEYS)
     kind = section.get("kind", "").strip()
-    if kind not in ("vanilla", "pod", "pou"):
+    if kind not in _TRUNK_KEYS:
         raise ConfigError(f"trunk {name!r}: unknown kind {kind!r}")
-    p = int(section.get("p", "0"))
-    if p < 1:
-        raise ConfigError(f"trunk {name!r}: p must be >= 1")
-    spec = TrunkSpec(name=name, kind=kind, p=p)
-    if kind in ("vanilla", "pou"):
-        spec.hidden = _ints(section.get("hidden", "64 64 64"))
-        if not spec.hidden:
-            raise ConfigError(f"trunk {name!r}: hidden needs at least one width")
-    if kind == "pod":
-        spec.modified = _bool(section.get("modified", "true"))
-        for key in ("hidden", "bbox", "grid", "select", "delta"):
-            if key in section:
-                raise ConfigError(f"trunk {name!r}: key {key!r} not valid for kind=pod")
-    if kind == "pou":
-        spec.bbox = _floats(section.get("bbox", ""))
-        spec.grid = _ints(section.get("grid", ""))
-        if not spec.bbox or len(spec.bbox) != 2 * len(spec.grid):
-            raise ConfigError(
-                f"trunk {name!r}: bbox needs lo/hi per grid axis "
-                f"(got {len(spec.bbox)} numbers for {len(spec.grid)} axes)"
-            )
-        sel = section.get("select", "").strip()
-        spec.select = _ints(sel) if sel else None
-        spec.delta = float(section.get("delta", "0.1"))
-    elif kind == "vanilla":
-        for key in ("bbox", "grid", "select", "delta", "modified"):
-            if key in section:
-                raise ConfigError(f"trunk {name!r}: key {key!r} not valid for kind=vanilla")
-    return spec
+    for key in section:
+        if key not in ("kind", "p", *_TRUNK_KEYS[kind]):
+            raise ConfigError(f"trunk {name!r}: key {key!r} not valid for kind={kind}")
+    values = _read(section, {"kind": str.strip, **_TRUNK_READERS})
+    return TrunkSpec(name=name, **{"p": 0, **_TRUNK_KEYS[kind], **values})
 
 
 def generate_dataset(spec: DataSpec) -> datamod.OperatorDataset:
@@ -309,6 +344,12 @@ def build_model(cfg: RunConfig, dataset: datamod.OperatorDataset,
             members.append(VanillaTrunk(init_mlp(mcfg, child)))
         elif spec.kind == "pod":
             targets = dataset.scalar_targets()[np.asarray(train_idx)]
+            if spec.p > min(targets.shape):
+                raise ConfigError(
+                    f"trunk {spec.name!r}: p={spec.p} exceeds the {min(targets.shape)} "
+                    f"POD modes of {targets.shape[0]} training snapshots on "
+                    f"{targets.shape[1]} locations"
+                )
             basis = compute_pod(targets, spec.p, y_locations=dataset.Y)
             members.append(PODTrunk(basis, spec.p, spec.modified))
         else:

@@ -18,7 +18,7 @@ from .errors import ConfigError, NumericError, ShapeError
 OPTIMIZERS = ("adam", "adamw")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5000
     optimizer: str = "adam"

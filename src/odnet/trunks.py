@@ -12,8 +12,7 @@ DeepONet, and the offset row appears when a standard (non-modified) POD
 member is in the ensemble.
 
 Patch summation in the PoU member always runs sequentially in declared
-patch order, so results are bit-reproducible; the ODN_DETERMINISTIC
-environment variable is accepted but selects the only implemented mode.
+patch order, so results are bit-reproducible.
 """
 
 from __future__ import annotations

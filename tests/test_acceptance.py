@@ -5,6 +5,7 @@ The two training criteria share one desk-scale reaction-diffusion dataset
 and one set of training runs (session fixtures below).
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from odnet.partition import (
 )
 from odnet.pod import compute_pod, standardize_snapshots
 from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
-from odnet.training import TrainConfig, mse_loss, train
+from odnet.training import mse_loss, train
 from odnet.trunks import EnsembleModel, VanillaTrunk
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -61,15 +62,7 @@ def rd_runs(rd_dataset):
         errors, epoch_seconds = [], []
         for seed in cfg.seeds:
             model = build_model(cfg, ds, train_idx, seed)
-            run_cfg = TrainConfig(
-                epochs=cfg.train.epochs,
-                optimizer=cfg.train.optimizer,
-                lr0=cfg.train.lr0,
-                gamma=cfg.train.gamma,
-                decay_step=cfg.train.decay_step,
-                weight_decay=cfg.train.weight_decay,
-                seed=seed,
-            )
+            run_cfg = dataclasses.replace(cfg.train, seed=seed)
             rep = train(model, ds.U[train_idx], ds.V[train_idx], ds.Y, run_cfg)
             ev = evaluate_model(model, ds.U[test_idx], ds.V[test_idx], ds.Y)
             errors.append(ev.mean_percent)

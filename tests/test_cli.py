@@ -74,6 +74,29 @@ test_count = 2
 split_seed = 0
 """
 
+POU_CFG = RD_CFG.replace("members = v1", "members = pu1").replace(
+    "[trunk.v1]\nkind = vanilla",
+    "[trunk.pu1]\nkind = pou\nbbox = 0 2 0 2\ngrid = 3 2\ndelta = 0.1",
+)
+
+# (command, base config, text to edit, replacement): each edit makes a
+# malformed value that must exit 2 with a one-line message, no traceback.
+MALFORMED = [
+    ("gen", ANTI_CFG, "n = 20", "n = abc"),
+    ("gen", ANTI_CFG, "\nhidden = 8", "\nhidden = 64 x 64"),
+    ("gen", ANTI_CFG, "p = 4", "p = 3.5"),
+    ("gen", ANTI_CFG, "\nhidden = 8", "\nhidden = 0"),
+    ("gen", ANTI_CFG, "branch_hidden = 8", "branch_hidden = 0"),
+    ("gen", POU_CFG, "delta = 0.1", "delta = -1"),
+    ("gen", POU_CFG, "grid = 3 2", "grid = 0 2"),
+    ("gen", POU_CFG, "delta = 0.1", "delta = 0.1\nselect = 99"),
+    ("train", POD_CFG, "p = 3", "p = 16"),  # 15 training snapshots
+    ("gen", ANTI_CFG, "seed = 3", "seed = -1"),
+    ("gen", ANTI_CFG, "seeds = 0", "seeds = -1"),
+    ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 0"),
+    ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = nan"),
+]
+
 
 @pytest.fixture
 def anti_config(tmp_path):
@@ -98,14 +121,46 @@ def test_gen_writes_dataset_and_manifest(anti_config, tmp_path, capsys):
     assert "N=20" in capsys.readouterr().out
 
 
+def _manifest_config(path):
+    return parse_config(path.read_text().split("config:\n", 1)[1])
+
+
 def test_gen_n_override_and_force(anti_config, tmp_path):
     out = str(tmp_path / "anti.odn")
-    assert main(["gen", anti_config, "--out", out, "--n", "7"]) == 0
+    manifest = tmp_path / "anti.odn.manifest.txt"
+    assert main(["gen", anti_config, "--out", out, "--n", "7", "--seed", "5"]) == 0
     assert read_dataset(out).n_samples == 7
+    # the manifest records the overrides that ran
+    assert _manifest_config(manifest).data.n == 7
+    assert _manifest_config(manifest).data.seed == 5
     # refuses overwrite without --force
     assert main(["gen", anti_config, "--out", out]) == 3
     assert main(["gen", anti_config, "--out", out, "--force"]) == 0
     assert read_dataset(out).n_samples == 20
+    assert _manifest_config(manifest).data.n == 20
+    for bad in ("0", "-3"):
+        assert main(["gen", anti_config, "--out", out, "--force", "--n", bad]) == 2
+    assert read_dataset(out).n_samples == 20
+
+
+@pytest.mark.parametrize(
+    "command,base,old,new", MALFORMED, ids=[case[3].strip().replace("\n", "; ") for case in MALFORMED],
+)
+def test_malformed_config_value_is_config_error(command, base, old, new, tmp_path, capsys):
+    assert old in base
+    good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+    good.write_text(base)
+    bad.write_text(base.replace(old, new, 1))
+    data = str(tmp_path / "data.odn")
+    argv = ["gen", str(bad), "--out", data]
+    if command == "train":
+        assert main(["gen", str(good), "--out", data]) == 0
+        argv = ["train", str(bad), data, "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert new.splitlines()[-1].split("=")[0].strip() in err  # names the edited key
 
 
 def test_gen_same_seed_identical_crc(anti_config, tmp_path):
@@ -127,6 +182,17 @@ def test_gen_unknown_key_is_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(ANTI_CFG.replace("modes = 4", "modes = 4\nwat = 1"))
     assert main(["gen", str(cfg), "--out", str(tmp_path / "x.odn")]) == 2
+
+
+def test_malformed_int_list_flag_exits_2(anti_config, tmp_path, capsys):
+    for argv in (
+        ["train", anti_config, "d.odn", "--out", str(tmp_path / "run"), "--seeds", "1,a"],
+        ["export-basis", "m.odm", "d.odn", "--columns", "x", "--out", str(tmp_path / "b.csv")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
 
 
 def test_missing_dataset_is_data_error(anti_config, tmp_path):
@@ -151,8 +217,9 @@ def test_train_epochs_one_checkpoint_predicts(pod_config, tmp_path):
     preds = model.predict(ds.U[:2], ds.Y).data
     assert preds.shape == (2, ds.n_y)
     assert np.all(np.isfinite(preds))
-    # the stored config reflects the --epochs override
+    # the stored config is canonical and reflects the --epochs override
     assert parse_config(text).train.epochs == 1
+    assert parse_config(text).text == text
 
 
 def test_train_two_seeds_differ(anti_config, tmp_path):
@@ -164,8 +231,11 @@ def test_train_two_seeds_differ(anti_config, tmp_path):
     ]) == 0
     ds = read_dataset(data)
     m1, _, _ = load_checkpoint(str(tmp_path / "run-seed1.odm"), ds)
-    m2, _, _ = load_checkpoint(str(tmp_path / "run-seed2.odm"), ds)
+    m2, text, _ = load_checkpoint(str(tmp_path / "run-seed2.odm"), ds)
     assert m1.parameter_hash() != m2.parameter_hash()
+    # each checkpoint stores the config of its own run
+    stored = parse_config(text)
+    assert stored.seeds == [2] and stored.train.seed == 2 and stored.train.epochs == 2
 
 
 def test_train_parallel_jobs(anti_config, tmp_path):

@@ -233,6 +233,17 @@ def test_bundled_configs_build_the_model_zoo():
     assert len(pp1.members) == n_patches + 1
 
 
+def test_bundled_configs_text_round_trip():
+    from pathlib import Path
+
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+    assert len(paths) == 9
+    for path in paths:
+        cfg = parse_config(path.read_text())
+        assert parse_config(cfg.text) == cfg, path.name
+        assert parse_config(cfg.text).text == cfg.text, path.name
+
+
 def test_checkpoint_roundtrip_bit_exact_predictions(tmp_path):
     cfg = parse_config(GOOD)
     ds = gen_antiderivative(cfg.data.n, cfg.data.modes, cfg.data.grid, cfg.data.seed)
@@ -240,9 +251,11 @@ def test_checkpoint_roundtrip_bit_exact_predictions(tmp_path):
     model = build_model(cfg, ds, train_idx, seed=0)
     before = model.predict(ds.U[test_idx], ds.Y).data
     path = tmp_path / "model.odm"
-    save_checkpoint(model, GOOD, path, seed=0)
+    # stored text need not be canonical: comments and omitted defaults load
+    handwritten = "# written by hand, defaults left out\n" + GOOD
+    save_checkpoint(model, handwritten, path, seed=0)
     loaded, text, attrs = load_checkpoint(path, ds)
-    assert text == GOOD
+    assert text == handwritten
     assert attrs["seed"] == "0"
     after = loaded.predict(ds.U[test_idx], ds.Y).data
     assert before.tobytes() == after.tobytes()

@@ -9,12 +9,21 @@ from odnet.partition import (
     PatchSet,
     coverage_check,
     grid_patch_centers,
-    kernel_value,
+    kernel_matrix,
     pou_weight_matrix,
-    pou_weights,
     uniform_radius,
     wendland_c2,
 )
+
+
+def kernel_value(patch, y):
+    """Kernel of one point against one patch through the batched path."""
+    return kernel_matrix(PatchSet([patch]), np.asarray(y, dtype=np.float64)[None])[0, 0]
+
+
+def pou_weights(ps, y):
+    """Weights at one point through the batched path."""
+    return pou_weight_matrix(ps, np.asarray(y, dtype=np.float64)[None])[0]
 
 
 def scalar_wendland(r):

@@ -5,7 +5,6 @@ from odnet.errors import DataError
 from odnet.pod import (
     PODBasis,
     compute_pod,
-    pod_trunk_eval,
     standardize_snapshots,
     trunk_matrix,
 )
@@ -96,7 +95,7 @@ def test_hand_eigenproblem_three_points():
 def test_trunk_eval_modified_row():
     v = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
     basis = compute_pod(v, p=2)
-    row = pod_trunk_eval(basis, 1, p=2, modified=True)
+    row = trunk_matrix(basis, 2, modified=True)[0][1]
     assert row.shape == (2,)
     np.testing.assert_allclose(
         row, np.array([0.5, 1.0 / np.sqrt(6)]) / 2.0, atol=1e-12
@@ -106,7 +105,7 @@ def test_trunk_eval_modified_row():
 def test_trunk_eval_standard_row_and_offset():
     v = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
     basis = compute_pod(v, p=2)
-    row = pod_trunk_eval(basis, 0, p=2, modified=False)
+    row = trunk_matrix(basis, 2, modified=False)[0][0]
     np.testing.assert_allclose(
         row, np.array([1.0 / np.sqrt(6), 1.0 / np.sqrt(2)]) / 2.0, atol=1e-12
     )
@@ -117,11 +116,14 @@ def test_trunk_eval_standard_row_and_offset():
     assert cols_m.shape == (3, 2)
 
 
-def test_trunk_eval_index_out_of_range():
+def test_trunk_matrix_p_beyond_basis():
     v = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
     basis = compute_pod(v, p=2)
-    with pytest.raises(IndexError):
-        pod_trunk_eval(basis, 3, p=2, modified=True)
+    assert trunk_matrix(basis, 3, modified=True)[0].shape == (3, 3)
+    with pytest.raises(ValueError, match="need 3"):
+        trunk_matrix(basis, 3, modified=False)
+    with pytest.raises(ValueError, match="need 3"):
+        trunk_matrix(basis, 4, modified=True)
 
 
 def test_basis_shape_validation():
