@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data/file error,
 4 numeric failure (NaN loss or solver blowup). Every run writes a
-manifest (config text, seed, versions) alongside its outputs.
+manifest (config text, seed, versions; for train and eval also the
+dataset file, its stored CRC32, sample count, generator and seed)
+alongside its outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, read_checkpoint_raw, save_checkpoint
-from .data import read_dataset, write_dataset
+from .data import read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
 from .evaluation import evaluate_model
 from .runconfig import build_model, generate_dataset, parse_config, split_indices
@@ -34,12 +36,25 @@ def _read_text(path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _write_manifest(path, config_text: str, seed) -> None:
+def _data_record(path, ds) -> dict:
+    """Names the dataset a run used: the file, the CRC32 it stores, its
+    sample count and the generator and seed from its metadata."""
+    record = {"data_file": path, "data_crc32": f"{stored_crc(path):08x}",
+              "data_samples": ds.n_samples}
+    for key in ("generator", "seed"):
+        if key in ds.metadata:
+            record[f"data_{key}"] = ds.metadata[key]
+    return record
+
+
+def _write_manifest(path, config_text: str, seed, data: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"odnet_version={__version__}\n")
         fh.write(f"numpy_version={np.__version__}\n")
         fh.write(f"python_version={platform.python_version()}\n")
         fh.write(f"seed={seed}\n")
+        for key, value in (data or {}).items():
+            fh.write(f"{key}={value}\n")
         fh.write("config:\n")
         fh.write(config_text)
 
@@ -80,7 +95,8 @@ def _train_one_seed(cfg, dataset_path: str, seed: int, out_prefix: str):
         raise
     save_checkpoint(model, cfg.text, ckpt, seed=seed)
     report.to_csv(losscsv)
-    _write_manifest(f"{out_prefix}-seed{seed}.manifest.txt", cfg.text, seed)
+    _write_manifest(f"{out_prefix}-seed{seed}.manifest.txt", cfg.text, seed,
+                    _data_record(dataset_path, ds))
     return seed, ckpt, report.losses[-1], report.mean_epoch_seconds(), model.parameter_hash()
 
 
@@ -135,7 +151,7 @@ def cmd_eval(args) -> int:
         report.spatial_mse_csv(args.mse_out, ds.Y)
     _write_manifest(
         (args.out or args.checkpoint) + ".eval-manifest.txt",
-        config_text, attrs.get("seed", "?"),
+        config_text, attrs.get("seed", "?"), _data_record(args.data, ds),
     )
     print(report.summary_line())
     return 0

@@ -4,7 +4,9 @@ Built-in generators: a 1D antiderivative operator (analytic, for sanity
 runs) and a 2D reaction-diffusion problem with a spatially discontinuous
 reaction term, solved by an explicit finite-difference scheme on a
 cell-centered grid with homogeneous Neumann boundaries via ghost-cell
-reflection. Externally produced datasets (e.g. Darcy, cavity flow) are
+reflection. The rd2d samples are solved as one batched (N, n, n) stencil;
+every update is elementwise, so each sample is bit-identical to a solve of
+that sample alone. Externally produced datasets (e.g. Darcy, cavity flow) are
 loaded through the same file format; they are never synthesized here.
 
 ODN1 layout, all little-endian:
@@ -17,6 +19,7 @@ ODN1 layout, all little-endian:
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -212,11 +215,36 @@ def _ambient(y1, y2, t):
     return (1.0 + np.cos(2.0 * np.pi * y1) * np.cos(2.0 * np.pi * y2)) * np.exp(-np.pi * t)
 
 
-def simulate_rd(params: RDParams, c0: float) -> np.ndarray:
-    """Advance the reaction-diffusion field from the constant IC ``c0`` to
-    t_final; returns the (n, n) concentration grid."""
+# Samples solved together by one stencil pass: bounds the solver's
+# temporaries to a few (RD_CHUNK, n+2, n+2) arrays however large N is.
+RD_CHUNK = 256
+
+
+def simulate_rd(params: RDParams, c0) -> np.ndarray:
+    """Advance reaction-diffusion fields from constant ICs to t_final.
+
+    ``c0`` is a scalar or a 1-d array of initial concentrations; the
+    result is the (n, n) grid or the (m, n, n) stack of grids. Samples are
+    solved RD_CHUNK at a time by one stencil over the last two axes; every
+    update is elementwise, so each grid is bit-identical to a solve of its
+    sample alone.
+    """
+    c0 = np.asarray(c0, dtype=np.float64)
+    if c0.ndim > 1:
+        raise ShapeError(f"simulate_rd takes a scalar or 1-d c0, got shape {c0.shape}")
+    flat = c0.reshape(-1)
     n = params.n
-    c = np.full((n, n), float(c0))
+    out = np.empty((flat.size, n, n))
+    for start in range(0, flat.size, RD_CHUNK):
+        out[start:start + RD_CHUNK] = _solve_rd(params, flat[start:start + RD_CHUNK], start)
+    return out.reshape(c0.shape + (n, n))
+
+
+def _solve_rd(params: RDParams, c0: np.ndarray, first: int) -> np.ndarray:
+    """The explicit scheme on a (m, n, n) batch; ``first`` is the index of
+    c0[0] among all samples, for the blow-up message."""
+    n = params.n
+    c = np.repeat(c0, n * n).reshape(c0.size, n, n)
     centers = params.cell_centers_1d()
     y1, y2 = np.meshgrid(centers, centers, indexing="ij")
     on_field = np.where(y1 <= params.switch, params.k_on, 0.0)
@@ -230,31 +258,34 @@ def simulate_rd(params: RDParams, c0: float) -> np.ndarray:
     for step in range(steps):
         dt_k = min(dt, params.t_final - t)  # truncate the last step onto t_final
         amb = _ambient(y1, y2, t)
-        padded = np.pad(c, 1, mode="edge")  # ghost cells: zero-flux reflection
+        # ghost cells: zero-flux reflection on the two spatial axes only
+        padded = np.pad(c, ((0, 0), (1, 1), (1, 1)), mode="edge")
         lap = (
-            padded[:-2, 1:-1] + padded[2:, 1:-1]
-            + padded[1:-1, :-2] + padded[1:-1, 2:]
+            padded[:, :-2, 1:-1] + padded[:, 2:, 1:-1]
+            + padded[:, 1:-1, :-2] + padded[:, 1:-1, 2:]
             - 4.0 * c
         ) * inv_h2
         c = c + dt_k * (on_field * (cap - c) * amb - off_field * c + params.nu * lap)
         t += dt_k
         if np.max(np.abs(c)) > blow:
+            bad = int(np.argmax(np.abs(c).max(axis=(1, 2)) > blow))
             raise NumericError(
-                f"rd2d solver blew up at step {step + 1} (|c| > {blow})"
+                f"rd2d solver blew up at step {step + 1} (|c| > {blow}); "
+                f"first sample {first + bad} with c0={float(c0[bad])!r}"
             )
     return c
 
 
 def gen_reaction_diffusion_2d(params: RDParams, n_samples: int, seed: int = 0) -> OperatorDataset:
-    """Constant random initial concentrations mapped to the t_final field."""
+    """Constant random initial concentrations mapped to the t_final field.
+
+    Each c0 comes from its own per-sample stream; all samples are then
+    solved by one batched ``simulate_rd`` call."""
     big_y = params.grid_points()
     big_x = params.branch_points()
-    u = np.empty((n_samples, big_x.shape[0]))
-    v = np.empty((n_samples, big_y.shape[0]))
-    for i in range(n_samples):
-        c0 = float(_sample_seed(seed, i).uniform(0.0, 1.0))
-        u[i] = c0
-        v[i] = simulate_rd(params, c0).reshape(-1)
+    c0 = np.array([_sample_seed(seed, i).uniform(0.0, 1.0) for i in range(n_samples)])
+    u = np.repeat(c0[:, None], big_x.shape[0], axis=1)
+    v = simulate_rd(params, c0).reshape(n_samples, big_y.shape[0])
     meta = {
         "generator": "rd2d",
         "seed": str(int(seed)),
@@ -312,6 +343,14 @@ def write_dataset(ds: OperatorDataset, path):
     with open(path, "wb") as fh:
         fh.write(blob)
         fh.write(struct.pack("<I", crc))
+
+
+def stored_crc(path) -> int:
+    """The CRC32 an ODN1 file stores over all its prior bytes (its last
+    four bytes); read_dataset verifies it."""
+    with open(path, "rb") as fh:
+        fh.seek(-4, os.SEEK_END)
+        return struct.unpack("<I", fh.read(4))[0]
 
 
 def read_dataset(path) -> OperatorDataset:

@@ -96,7 +96,7 @@ class DataSpec:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if (self.generator == "file") != bool(self.path):
             raise ConfigError("generator=file requires a path, and path needs generator=file")
-        for key, low in (("n", 1), ("branch_grid", 1), ("seed", 0)):
+        for key, low in (("n", 1), ("modes", 1), ("branch_grid", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"[data] {key} must be >= {low}")
 

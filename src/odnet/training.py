@@ -38,6 +38,10 @@ class TrainConfig:
             raise ConfigError("gamma must be >= 0")
         if self.weight_decay < 0.0:
             raise ConfigError("weight_decay must be >= 0")
+        if self.decay_step < 0:
+            raise ConfigError("decay_step must be >= 0 (0 -> epochs // 5)")
+        if self.batch_size < 0:
+            raise ConfigError("batch must be >= 0 (0 -> full batch)")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 

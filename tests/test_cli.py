@@ -1,3 +1,4 @@
+import struct
 import zlib
 
 import numpy as np
@@ -95,6 +96,9 @@ MALFORMED = [
     ("gen", ANTI_CFG, "seeds = 0", "seeds = -1"),
     ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 0"),
     ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = nan"),
+    ("gen", ANTI_CFG, "modes = 4", "modes = 0"),
+    ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = 1e-3\nbatch = -1"),
+    ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = 1e-3\ndecay_step = -2"),
 ]
 
 
@@ -236,6 +240,31 @@ def test_train_two_seeds_differ(anti_config, tmp_path):
     # each checkpoint stores the config of its own run
     stored = parse_config(text)
     assert stored.seeds == [2] and stored.train.seed == 2 and stored.train.epochs == 2
+
+
+def _manifest_fields(path):
+    head = path.read_text().split("config:\n", 1)[0]
+    return dict(line.split("=", 1) for line in head.splitlines())
+
+
+def test_train_manifest_names_its_dataset(tmp_path):
+    cfg = tmp_path / "rd.ini"
+    cfg.write_text(RD_CFG)
+    data = tmp_path / "rd.odn"
+    assert main(["gen", str(cfg), "--out", str(data), "--n", "12", "--seed", "4"]) == 0
+    assert main(["train", str(cfg), str(data), "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+    assert main(["eval", str(tmp_path / "run-seed0.odm"), str(data)]) == 0
+    (crc,) = struct.unpack("<I", data.read_bytes()[-4:])
+    for manifest in (tmp_path / "run-seed0.manifest.txt",
+                     tmp_path / "run-seed0.odm.eval-manifest.txt"):
+        fields = _manifest_fields(manifest)
+        assert fields["data_file"] == str(data)
+        assert fields["data_crc32"] == f"{crc:08x}"
+        assert fields["data_samples"] == "12"
+        assert fields["data_generator"] == "rd2d"
+        assert fields["data_seed"] == "4"
+    # the config text is the one the run parsed, not the dataset's
+    assert _manifest_config(tmp_path / "run-seed0.manifest.txt").data.n == 8
 
 
 def test_train_parallel_jobs(anti_config, tmp_path):

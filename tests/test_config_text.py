@@ -43,7 +43,7 @@ def data_specs(draw):
         path = draw(st.from_regex(r"[A-Za-z0-9_./-]{0,30}\.odn", fullmatch=True))
     return DataSpec(
         generator=generator, n=draw(st.integers(1, 10**6)), seed=draw(seeds),
-        grid=draw(st.integers()), modes=draw(st.integers()),
+        grid=draw(st.integers()), modes=draw(st.integers(min_value=1)),
         branch_grid=draw(st.integers(1, 10**4)), dt=draw(st.none() | reals),
         nu=draw(reals), t_final=draw(reals), path=path,
     )
@@ -55,8 +55,8 @@ def run_configs(draw):
     run_seeds = draw(st.lists(seeds, min_size=1, max_size=4))
     train = TrainConfig(
         epochs=draw(st.integers(1, 10**7)), optimizer=draw(st.sampled_from(OPTIMIZERS)),
-        lr0=draw(nonneg), gamma=draw(nonneg), decay_step=draw(st.integers()),
-        weight_decay=draw(nonneg), batch_size=draw(st.integers()), seed=run_seeds[0],
+        lr0=draw(nonneg), gamma=draw(nonneg), decay_step=draw(st.integers(min_value=0)),
+        weight_decay=draw(nonneg), batch_size=draw(st.integers(min_value=0)), seed=run_seeds[0],
     )
     return RunConfig(
         data=draw(data_specs()),

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,16 @@ def test_rd_blowup_detected():
         simulate_rd(params, 0.5)
 
 
+def test_rd_batched_blowup_names_first_sample():
+    # without dynamics c stays c0, so exactly the samples above 10 * cap blow
+    # up; 280 lies in the second solver chunk, so the index is global
+    params = RDParams(nu=0.0, k_on=0.0, k_off=0.0, n=8)
+    c0 = np.full(300, 0.5)
+    c0[[280, 290]] = (25.0, 30.0)
+    with pytest.raises(NumericError, match=r"step 1 .*first sample 280 with c0=25\.0"):
+        simulate_rd(params, c0)
+
+
 def test_rd_stability_bound_rejected():
     with pytest.raises(ConfigError):
         RDParams(n=32, dt=1.0)
@@ -131,6 +143,41 @@ def test_rd_dataset_shapes_and_inputs():
     # determinism
     ds2 = gen_reaction_diffusion_2d(params, 3, seed=5)
     assert ds.V.tobytes() == ds2.V.tobytes()
+
+
+def test_rd_dataset_affine_oracle():
+    # the explicit scheme is affine in the constant IC and its forcing does
+    # not depend on c, so V_i = A + c0_i B with A, B fixed by two samples
+    ds = gen_reaction_diffusion_2d(RDParams(n=16, branch_grid=4), 40, seed=2)
+    c0 = ds.U[:, 0]
+    lo, hi = int(np.argmin(c0)), int(np.argmax(c0))
+    b = (ds.V[hi] - ds.V[lo]) / (c0[hi] - c0[lo])
+    a = ds.V[lo] - c0[lo] * b
+    affine = a[None, :] + c0[:, None] * b[None, :]
+    assert np.max(np.abs(ds.V - affine)) <= 1e-12 * np.max(np.abs(ds.V))
+
+
+def test_rd_batched_solve_equals_scalar_solves():
+    params = RDParams(n=12)
+    c0 = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+    batched = simulate_rd(params, c0)
+    assert batched.shape == (5, 12, 12)
+    stacked = np.stack([simulate_rd(params, float(c)) for c in c0])
+    assert batched.tobytes() == stacked.tobytes()
+    assert simulate_rd(params, c0[:0]).shape == (0, 12, 12)
+    with pytest.raises(ShapeError):
+        simulate_rd(params, c0.reshape(5, 1))
+
+
+@pytest.mark.parametrize("params,n_samples,seed,crc_v,crc_u", [
+    (RDParams(n=8, branch_grid=4), 12, 0, 0x0B54C2AF, 0x1AB159FC),
+    (RDParams(), 240, 1, 0x29DAACCC, 0x2E723E95),
+], ids=["n8-12-seed0", "default-240-seed1"])
+def test_rd_dataset_payload_pinned(params, n_samples, seed, crc_v, crc_u):
+    # values written by the per-sample solver; the batched one must match
+    ds = gen_reaction_diffusion_2d(params, n_samples, seed=seed)
+    assert zlib.crc32(ds.V.tobytes()) == crc_v
+    assert zlib.crc32(ds.U.tobytes()) == crc_u
 
 
 # --- diffusion-coefficient profile for the 3D problem ---
