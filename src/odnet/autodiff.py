@@ -1,9 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The op set is deliberately small: dense matrix products, a handful of
-pointwise functions, row/column embeddings, and full reductions. That is
-everything an MLP forward/backward pass and the ensemble prediction need,
-and it keeps every backward rule short enough to audit by hand.
+The op set is deliberately small and shaped by the DeepONet hot path:
+
+- ``linear`` (a dense layer, ``x @ w + b``),
+- ``matmul_nt`` (the ``branch @ trunk^T`` product, without a transpose),
+- ``mse`` (the training loss, from one residual),
+- ``add``, ``add_scalar`` and ``add_row_const`` (sums and broadcasts),
+- ``scale_rows``, ``embed_rows`` and ``concat_columns`` (PoU blending and
+  trunk stacking),
+- ``relu``, ``leaky_relu`` and ``tanh`` (activations).
+
+Each backward rule is short enough to audit by hand.
 
 Ops take an optional ``tape``. With ``tape=None`` they evaluate forward
 only; with a tape they append a backward rule in execution order, so the
@@ -90,6 +97,15 @@ class Tape:
         self._records.append((out, inputs, backward_fn))
         self._produced.add(id(out))
 
+    def first_nonfinite(self):
+        """(op name, shape) of the first record whose output holds a NaN
+        or an infinity, or None. Meant for diagnosing a failed step; the
+        op name is the function that recorded the backward rule."""
+        for out, _, backward_fn in self._records:
+            if not np.isfinite(out.data).all():
+                return backward_fn.__qualname__.partition(".")[0], out.data.shape
+        return None
+
     def backward(self, loss: Tensor):
         """Populate ``.grad`` of every ``requires_grad`` tensor reachable
         from ``loss``."""
@@ -127,33 +143,81 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Matrix product a @ b. Backward: grad_a = g bT, grad_b = aT g."""
-    _check_2d(a, "matmul")
-    _check_2d(b, "matmul")
-    if a.data.shape[1] != b.data.shape[0]:
+def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    """Dense layer x @ w + b, with the (n,) bias added to every row in place.
+
+    Backward: grad_x = g wT, grad_w = xT g, grad_b = column sums of g.
+    """
+    _check_2d(x, "linear")
+    _check_2d(w, "linear")
+    if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(
-            f"matmul: inner dimensions disagree ({a.data.shape[1]} vs {b.data.shape[0]})"
+            f"linear: inner dimensions disagree ({x.data.shape[1]} vs {w.data.shape[0]})"
         )
-    out = Tensor(a.data @ b.data)
+    if b.data.ndim != 1 or b.data.shape[0] != w.data.shape[1]:
+        raise ShapeError(
+            f"linear: bias shape {b.data.shape} does not match columns of {w.data.shape}"
+        )
+    data = x.data @ w.data
+    data += b.data
+    out = Tensor(data)
+    if tape is not None and (x._tracked or w._tracked or b._tracked):
+        xdata, wdata = x.data, w.data
+        need_x, need_w, need_b = x._tracked, w._tracked, b._tracked
+
+        def backward_fn(g):
+            gx = g @ wdata.T if need_x else None
+            gw = xdata.T @ g if need_w else None
+            gb = g.sum(axis=0) if need_b else None
+            return gx, gw, gb
+
+        tape.record(out, (x, w, b), backward_fn)
+    return out
+
+
+def matmul_nt(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    """a @ b^T without a transposed copy of b: (m, k) x (n, k) -> (m, n).
+
+    Backward: grad_a = g b, grad_b = gT a.
+    """
+    _check_2d(a, "matmul_nt")
+    _check_2d(b, "matmul_nt")
+    if a.data.shape[1] != b.data.shape[1]:
+        raise ShapeError(
+            f"matmul_nt: inner dimensions disagree ({a.data.shape[1]} vs {b.data.shape[1]})"
+        )
+    out = Tensor(a.data @ b.data.T)
     if tape is not None and (a._tracked or b._tracked):
         adata, bdata = a.data, b.data
         need_a, need_b = a._tracked, b._tracked
 
         def backward_fn(g):
-            ga = g @ bdata.T if need_a else None
-            gb = adata.T @ g if need_b else None
+            ga = g @ bdata if need_a else None
+            gb = g.T @ adata if need_b else None
             return ga, gb
 
         tape.record(out, (a, b), backward_fn)
     return out
 
 
-def transpose(a: Tensor, tape: Tape | None = None) -> Tensor:
-    _check_2d(a, "transpose")
-    out = Tensor(a.data.T)
-    if tape is not None and a._tracked:
-        tape.record(out, (a,), lambda g: (np.ascontiguousarray(g.T),))
+def mse(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
+    """Mean over all entries of (pred - target)^2, from one residual r.
+
+    Backward: grad_pred = r * (g * 2/n) and grad_target = its negation.
+    Scaling by 2 is exact, so this equals 2 * (r * (1/n)) bit for bit.
+    """
+    _check_same_shape(pred, target, "mse")
+    r = pred.data - target.data
+    out = Tensor((r * r).mean())
+    if tape is not None and (pred._tracked or target._tracked):
+        need_p, need_t = pred._tracked, target._tracked
+        two_over_n = 2.0 / r.size
+
+        def backward_fn(g):
+            gp = r * (float(g) * two_over_n)
+            return (gp if need_p else None, -gp if need_t else None)
+
+        tape.record(out, (pred, target), backward_fn)
     return out
 
 
@@ -167,66 +231,6 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
             return (g if need_a else None, g if need_b else None)
 
         tape.record(out, (a, b), backward_fn)
-    return out
-
-
-def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    if tape is not None and (a._tracked or b._tracked):
-        need_a, need_b = a._tracked, b._tracked
-
-        def backward_fn(g):
-            return (g if need_a else None, -g if need_b else None)
-
-        tape.record(out, (a, b), backward_fn)
-    return out
-
-
-def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Hadamard product of identically shaped tensors."""
-    _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    if tape is not None and (a._tracked or b._tracked):
-        adata, bdata = a.data, b.data
-        need_a, need_b = a._tracked, b._tracked
-
-        def backward_fn(g):
-            ga = g * bdata if need_a else None
-            gb = g * adata if need_b else None
-            return ga, gb
-
-        tape.record(out, (a, b), backward_fn)
-    return out
-
-
-def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
-    """Multiply by a constant (non-trainable) scalar."""
-    c = float(c)
-    out = Tensor(a.data * c)
-    if tape is not None and a._tracked:
-        tape.record(out, (a,), lambda g: (g * c,))
-    return out
-
-
-def add_bias(a: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
-    """Row-wise bias add: (B, n) + (n,). The only broadcast in the engine
-    besides the scalar/row constants below."""
-    _check_2d(a, "add_bias")
-    if bias.data.ndim != 1 or bias.data.shape[0] != a.data.shape[1]:
-        raise ShapeError(
-            f"add_bias: bias shape {bias.data.shape} does not match columns of {a.data.shape}"
-        )
-    out = Tensor(a.data + bias.data[None, :])
-    if tape is not None and (a._tracked or bias._tracked):
-        need_a, need_b = a._tracked, bias._tracked
-
-        def backward_fn(g):
-            ga = g if need_a else None
-            gb = g.sum(axis=0) if need_b else None
-            return ga, gb
-
-        tape.record(out, (a, bias), backward_fn)
     return out
 
 
@@ -343,21 +347,4 @@ def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
     if tape is not None and a._tracked:
         odata = out.data
         tape.record(out, (a,), lambda g: (g * (1.0 - odata * odata),))
-    return out
-
-
-def sum_all(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.data.sum())
-    if tape is not None and a._tracked:
-        adata = a.data
-        tape.record(out, (a,), lambda g: (np.full_like(adata, float(g)),))
-    return out
-
-
-def mean_all(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.data.mean())
-    if tape is not None and a._tracked:
-        adata = a.data
-        inv = 1.0 / adata.size
-        tape.record(out, (a,), lambda g: (np.full_like(adata, float(g) * inv),))
     return out

@@ -135,8 +135,10 @@ def read_checkpoint_raw(path):
     """(config_text, attrs dict, arrays dict) after CRC verification."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:
+    if blob[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: bad magic, not an ODM1 checkpoint")
+    if len(blob) < len(MAGIC) + 8:
+        raise DataError(f"{path}: truncated ODM1 file ({len(blob)} bytes)")
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
         raise DataError(f"{path}: CRC32 mismatch, file is corrupted")

@@ -101,7 +101,7 @@ class MLP:
         n_layers = len(self.weights)
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add_bias(ad.matmul(h, w, tape), b, tape)
+            h = ad.linear(h, w, b, tape)
             if i < n_layers - 1 or self.config.activate_last:
                 h = _apply_activation(self.config.activation, h, tape)
         return h

@@ -79,8 +79,7 @@ def mse_loss(pred: ad.Tensor, target, tape: ad.Tape | None = None) -> ad.Tensor:
         raise ShapeError(
             f"mse_loss: prediction shape {pred.data.shape} != target shape {target.data.shape}"
         )
-    diff = ad.sub(pred, target, tape)
-    return ad.mean_all(ad.mul(diff, diff, tape), tape)
+    return ad.mse(pred, target, tape)
 
 
 def inverse_time_lr(lr0: float, gamma: float, step_interval: int, step: int) -> float:
@@ -150,7 +149,9 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
     """Full forward -> MSE -> backward -> optimizer-step epochs.
 
     Aborts with NumericError (carrying the epoch index and the partial
-    report) as soon as the loss stops being finite.
+    report) as soon as the loss stops being finite. Its message names the
+    first non-finite tensor: a parameter by its position in
+    ``model.parameters()``, or else the first tape record by op and shape.
     """
     u = np.asarray(u_samples, dtype=np.float64)
     v = np.asarray(v_targets, dtype=np.float64)
@@ -169,22 +170,22 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         lr = inverse_time_lr(cfg.lr0, cfg.gamma, decay_every, epoch)
-        if batch == n:
-            epoch_loss = _step(model, optimizer, u_full, v_full, y, lr)
-        else:
-            order = rng.permutation(n)
-            total = 0.0
-            for lo in range(0, n, batch):
-                sel = order[lo: lo + batch]
-                loss = _step(model, optimizer, ad.Tensor(u[sel]), ad.Tensor(v[sel]), y, lr)
-                total += loss * sel.size
-            epoch_loss = total / n
+        try:
+            if batch == n:
+                epoch_loss = _step(model, optimizer, u_full, v_full, y, lr)
+            else:
+                order = rng.permutation(n)
+                total = 0.0
+                for lo in range(0, n, batch):
+                    sel = order[lo: lo + batch]
+                    loss = _step(model, optimizer, ad.Tensor(u[sel]), ad.Tensor(v[sel]), y, lr)
+                    total += loss * sel.size
+                epoch_loss = total / n
+        except NumericError as exc:
+            raise _aborted(epoch, report, str(exc)) from None
         elapsed = time.perf_counter() - start
         if not np.isfinite(epoch_loss):
-            err = NumericError(f"training loss became non-finite at epoch {epoch}")
-            err.epoch = epoch
-            err.report = report
-            raise err
+            raise _aborted(epoch, report, "the sum of the batch losses overflowed")
         report.losses.append(epoch_loss)
         report.lrs.append(lr)
         report.epoch_seconds.append(elapsed)
@@ -193,14 +194,34 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
     return report
 
 
+def _aborted(epoch: int, report: TrainReport, detail: str) -> NumericError:
+    err = NumericError(f"training loss became non-finite at epoch {epoch}; {detail}")
+    err.epoch = epoch
+    err.report = report
+    return err
+
+
 def _step(model, optimizer, u_t, v_t, y, lr) -> float:
     tape = ad.Tape()
     pred = model.predict(u_t, y, tape)
     loss = mse_loss(pred, v_t, tape)
     value = float(loss.data)
     if not np.isfinite(value):
-        return value
+        raise NumericError(f"first non-finite tensor is {_first_nonfinite(model, tape)}")
     model.zero_grad()
     tape.backward(loss)
     optimizer.step(lr)
     return value
+
+
+def _first_nonfinite(model, tape) -> str:
+    """Name the first parameter, by position in ``model.parameters()``, or
+    else the first tape record whose data holds a NaN or an infinity."""
+    for i, p in enumerate(model.parameters()):
+        if not np.isfinite(p.data).all():
+            return f"parameter {i} (shape {p.data.shape})"
+    hit = tape.first_nonfinite()
+    if hit is None:
+        return "not on the tape"
+    op, shape = hit
+    return f"the output of {op} (shape {shape})"

@@ -266,7 +266,7 @@ class EnsembleModel:
         y_arr = np.asarray(y.data if isinstance(y, ad.Tensor) else y, dtype=np.float64)
         branch_out = self.branch.forward(u, tape)
         trunk_out = self.trunk_forward(y_arr, tape)
-        pred = ad.matmul(branch_out, ad.transpose(trunk_out, tape), tape)
+        pred = ad.matmul_nt(branch_out, trunk_out, tape)
         if self.bias is not None:
             pred = ad.add_scalar(pred, self.bias, tape)
         offsets = self._offset_row(y_arr)

@@ -16,29 +16,129 @@ def triple_loop_matmul(a, b):
     return out
 
 
+def _zeros(*shape):
+    return ad.Tensor(np.zeros(shape))
+
+
+def _products(a, b):
+    """a @ b through both product ops: linear with a zero bias, and
+    matmul_nt against b transposed."""
+    return (
+        ad.linear(ad.Tensor(a), ad.Tensor(b), _zeros(b.shape[1])).data,
+        ad.matmul_nt(ad.Tensor(a), ad.Tensor(b.T)).data,
+    )
+
+
+def _unit_loss(t, tape):
+    """A 0-d loss whose gradient is exactly 1 with respect to a (1, 1)
+    tensor t: the squared distance to the constant t - 1/2."""
+    return ad.mse(t, ad.Tensor(t.data - 0.5), tape)
+
+
+def _total(t, tape):
+    """Sum of every entry of a 2-d tensor, as (1, 1): ones^T t ones."""
+    rows, cols = t.data.shape
+    col_sums = ad.linear(ad.Tensor(np.ones((1, rows))), t, _zeros(cols), tape)
+    return ad.linear(col_sums, ad.Tensor(np.ones((cols, 1))), _zeros(1), tape)
+
+
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 3))
-    out = ad.matmul(ad.Tensor(np.eye(3)), ad.Tensor(m))
-    np.testing.assert_array_equal(out.data, m)
+    for out in _products(np.eye(3), m):
+        np.testing.assert_array_equal(out, m)
 
 
 def test_matmul_direct_arithmetic():
-    out = ad.matmul(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]), ad.Tensor([[0.0], [1.0]]))
-    np.testing.assert_array_equal(out.data, [[2.0], [4.0]])
+    for out in _products(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]])):
+        np.testing.assert_array_equal(out, [[2.0], [4.0]])
 
 
 def test_matmul_matches_triple_loop_oracle():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 5))
     b = rng.normal(size=(5, 3))
-    out = ad.matmul(ad.Tensor(a), ad.Tensor(b))
-    assert np.max(np.abs(out.data - triple_loop_matmul(a, b))) < 1e-14
+    for out in _products(a, b):
+        assert np.max(np.abs(out - triple_loop_matmul(a, b))) < 1e-14
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
+    # linear: non-2-d input or weight, inner mismatch, bias not (n,) for an
+    # (m, n) weight
+    for x, w, b in (
+        (_zeros(2, 3), _zeros(2, 3), _zeros(3)),
+        (_zeros(3), _zeros(3, 2), _zeros(2)),
+        (_zeros(4, 3), _zeros(3), _zeros(3)),
+        (_zeros(4, 3), _zeros(3, 2), _zeros(3)),
+        (_zeros(4, 3), _zeros(3, 2), _zeros(1, 2)),
+    ):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(x, w, b)
+    # matmul_nt: non-2-d operands, or column counts that differ
+    for a, b in ((_zeros(2, 3), _zeros(3, 2)), (_zeros(3), _zeros(2, 3)), (_zeros(2, 3), _zeros(3))):
+        with pytest.raises(ShapeError, match="matmul_nt"):
+            ad.matmul_nt(a, b)
+
+
+def test_linear_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(21)
+    x = ad.Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=4), requires_grad=True)
+    target = rng.normal(size=(7, 4))
+    tape = ad.Tape()
+    out = ad.linear(x, w, b, tape)
+    assert out.data.tobytes() == (x.data @ w.data + b.data[None, :]).tobytes()
+    tape.backward(ad.mse(out, ad.Tensor(target), tape))
+    g = (out.data - target) * (2.0 / out.size)
+    np.testing.assert_array_equal(x.grad, g @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ g)
+    np.testing.assert_array_equal(b.grad, g.sum(axis=0))
+
+
+def test_matmul_nt_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(22)
+    a = ad.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+    target = rng.normal(size=(6, 9))
+    tape = ad.Tape()
+    out = ad.matmul_nt(a, b, tape)
+    assert out.data.tobytes() == (a.data @ b.data.T).tobytes()
+    tape.backward(ad.mse(out, ad.Tensor(target), tape))
+    g = (out.data - target) * (2.0 / out.size)
+    np.testing.assert_array_equal(a.grad, g @ b.data)
+    np.testing.assert_array_equal(b.grad, g.T @ a.data)
+
+
+def test_mse_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(23)
+    p = ad.Tensor(rng.normal(size=(8, 11)), requires_grad=True)
+    t = ad.Tensor(rng.normal(size=(8, 11)), requires_grad=True)
+    tape = ad.Tape()
+    loss = ad.mse(p, t, tape)
+    r = p.data - t.data
+    assert loss.data.tobytes() == (r * r).mean().tobytes()
+    tape.backward(loss)
+    # mean(r * r) differentiated op by op: two adjoints r * (1/n), summed
+    inv = 1.0 / r.size
+    assert p.grad.tobytes() == ((r * inv) + (r * inv)).tobytes()
+    assert p.grad.tobytes() == (r * (2.0 / r.size)).tobytes()
+    np.testing.assert_array_equal(t.grad, -p.grad)
+
+
+def test_tape_names_first_nonfinite_record():
+    w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    x = np.ones((3, 2))
+    tape = ad.Tape()
+    h = ad.tanh(ad.linear(ad.Tensor(x), w, _zeros(2), tape), tape)
+    ad.mse(h, _zeros(3, 2), tape)
+    assert tape.first_nonfinite() is None
+    x[1, 0] = np.inf
+    tape = ad.Tape()
+    with np.errstate(invalid="ignore"):
+        h = ad.tanh(ad.linear(ad.Tensor(x), w, _zeros(2), tape), tape)
+        ad.matmul_nt(h, ad.Tensor(np.full((4, 2), np.nan)), tape)
+    assert tape.first_nonfinite() == ("linear", (3, 2))
 
 
 def test_elementwise_values():
@@ -52,30 +152,33 @@ def test_elementwise_values():
 def test_elementwise_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.add(ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((2, 3))))
-    with pytest.raises(ShapeError):
-        ad.mul(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(4)))
+    # mse: any shape difference, including a transposed target
+    for p, t in ((_zeros(3), _zeros(4)), (_zeros(2, 3), _zeros(3, 2)), (_zeros(1, 1), _zeros())):
+        with pytest.raises(ShapeError, match="mse"):
+            ad.mse(p, t)
 
 
 def test_backward_sum_gives_ones():
-    w = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    w = ad.Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
     tape = ad.Tape()
-    loss = ad.sum_all(w, tape)
+    loss = _unit_loss(_total(w, tape), tape)
     tape.backward(loss)
-    np.testing.assert_array_equal(w.grad, np.ones(3))
+    np.testing.assert_array_equal(w.grad, np.ones((1, 3)))
 
 
 def test_backward_quadratic():
+    # mean of w^2: gradient 2w/n
     w = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     tape = ad.Tape()
-    loss = ad.sum_all(ad.mul(w, w, tape), tape)
+    loss = ad.mse(w, _zeros(2), tape)
     tape.backward(loss)
-    np.testing.assert_allclose(w.grad, [2.0, 4.0], atol=1e-15)
+    np.testing.assert_allclose(w.grad, [1.0, 2.0], atol=1e-15)
 
 
 def test_backward_requires_scalar_loss():
     w = ad.Tensor(np.ones(3), requires_grad=True)
     tape = ad.Tape()
-    out = ad.mul(w, w, tape)
+    out = ad.tanh(w, tape)
     with pytest.raises(ShapeError):
         tape.backward(out)
 
@@ -88,12 +191,12 @@ def test_backward_detached_graph():
 
 
 def test_backward_accumulates_without_reset():
-    w = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     tape = ad.Tape()
-    loss = ad.sum_all(w, tape)
+    loss = _unit_loss(_total(w, tape), tape)
     tape.backward(loss)
     tape.backward(loss)
-    np.testing.assert_array_equal(w.grad, 2.0 * np.ones(2))
+    np.testing.assert_array_equal(w.grad, 2.0 * np.ones((1, 2)))
 
 
 def _random_two_layer(rng):
@@ -107,9 +210,9 @@ def _random_two_layer(rng):
 
 def _mlp_loss(params, x, tape=None):
     w1, b1, w2, b2 = params
-    h = ad.tanh(ad.add_bias(ad.matmul(ad.Tensor(x), w1, tape), b1, tape), tape)
-    out = ad.add_bias(ad.matmul(h, w2, tape), b2, tape)
-    return ad.mean_all(ad.mul(out, out, tape), tape)
+    h = ad.tanh(ad.linear(ad.Tensor(x), w1, b1, tape), tape)
+    out = ad.linear(h, w2, b2, tape)
+    return ad.mse(out, _zeros(*out.shape), tape)
 
 
 def central_difference_grads(loss_fn, params, h=1e-6):
@@ -154,9 +257,9 @@ def test_backward_linearity():
     a, b = 0.7, -1.3
 
     def losses(tape):
-        prod = ad.matmul(x, w, tape)
-        l1 = ad.mean_all(ad.mul(prod, prod, tape), tape)
-        l2 = ad.sum_all(ad.tanh(prod, tape), tape)
+        prod = ad.linear(x, w, _zeros(4), tape)
+        l1 = ad.mse(prod, _zeros(4, 4), tape)  # 0-d
+        l2 = _total(ad.tanh(prod, tape), tape)  # (1, 1)
         return l1, l2
 
     tape = ad.Tape()
@@ -167,27 +270,29 @@ def test_backward_linearity():
     w.zero_grad()
     tape = ad.Tape()
     _, l2 = losses(tape)
-    tape.backward(l2)
+    tape.backward(_unit_loss(l2, tape))
     g2 = w.grad.copy()
 
     w.zero_grad()
     tape = ad.Tape()
     l1, l2 = losses(tape)
-    combined = ad.add(ad.scale(l1, a, tape), ad.scale(l2, b, tape), tape)
-    tape.backward(combined)
+    both = ad.concat_columns([ad.add_scalar(_zeros(1, 1), l1, tape), l2], tape)
+    combined = ad.linear(both, ad.Tensor([[a], [b]]), _zeros(1), tape)
+    tape.backward(_unit_loss(combined, tape))
     np.testing.assert_allclose(w.grad, a * g1 + b * g2, atol=1e-12)
 
 
 def test_backward_visits_each_node_once():
     # a node consumed by two ops gets its backward rule applied exactly once,
     # after both consumers contributed their adjoints
-    w = ad.Tensor(np.array([0.5, -0.25]), requires_grad=True)
+    w = ad.Tensor(np.array([[0.5, -0.25]]), requires_grad=True)
     tape = ad.Tape()
     shared = ad.tanh(w, tape)
-    a = ad.mul(shared, shared, tape)
-    b = ad.add(shared, shared, tape)
-    loss = ad.add(ad.sum_all(a, tape), ad.sum_all(b, tape), tape)
-    tape.backward(loss)
+    a = ad.mse(shared, _zeros(1, 2), tape)  # sum of squares / 2
+    b = _total(ad.add(shared, shared, tape), tape)
+    both = ad.concat_columns([ad.add_scalar(_zeros(1, 1), a, tape), b], tape)
+    loss = ad.linear(both, ad.Tensor([[2.0], [1.0]]), _zeros(1), tape)
+    tape.backward(_unit_loss(loss, tape))
     t = np.tanh(w.data)
     expected = (2.0 * t + 2.0) * (1.0 - t * t)
     np.testing.assert_allclose(w.grad, expected, atol=1e-15)
@@ -199,8 +304,8 @@ def test_determinism_bit_identical():
         w = ad.Tensor(rng.uniform(-1, 1, size=(6, 6)), requires_grad=True)
         x = ad.Tensor(rng.uniform(-1, 1, size=(3, 6)))
         tape = ad.Tape()
-        out = ad.tanh(ad.matmul(x, w, tape), tape)
-        loss = ad.mean_all(ad.mul(out, out, tape), tape)
+        out = ad.tanh(ad.linear(x, w, _zeros(6), tape), tape)
+        loss = ad.mse(out, _zeros(3, 6), tape)
         tape.backward(loss)
         return loss.data.copy(), w.grad.copy()
 
@@ -211,28 +316,33 @@ def test_determinism_bit_identical():
 
 
 def test_structural_ops_match_finite_differences():
-    # exercises scale_rows, embed_rows, concat_columns, transpose, add_scalar
+    # exercises scale_rows, embed_rows, concat_columns, add_scalar, and the
+    # fused linear, matmul_nt and mse with every input tracked
     rng = np.random.default_rng(5)
     a = ad.Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
     s = ad.Tensor(np.array(0.3), requires_grad=True)
-    m = rng.uniform(-1, 1, size=(3, 2))
+    m = ad.Tensor(rng.uniform(-1, 1, size=(3, 2)), requires_grad=True)
+    c = ad.Tensor(rng.uniform(-1, 1, size=2), requires_grad=True)
+    q = ad.Tensor(rng.uniform(-1, 1, size=(4, 5)), requires_grad=True)
+    target = ad.Tensor(rng.uniform(-1, 1, size=(5, 4)), requires_grad=True)
     w = rng.uniform(0.1, 1.0, size=2)
     idx = np.array([1, 3])
+    params = [a, s, m, c, q, target]
 
     def forward(tape=None):
         act = ad.tanh(a, tape)
         placed = ad.embed_rows(ad.scale_rows(act, w, tape), idx, 5, tape)  # (5, 3)
-        right = ad.matmul(placed, ad.Tensor(m), tape)                      # (5, 2)
+        right = ad.linear(placed, m, c, tape)                              # (5, 2)
         cat = ad.concat_columns([placed, right], tape)                     # (5, 5)
-        t = ad.add_scalar(ad.transpose(cat, tape), s, tape)
-        return ad.mean_all(ad.mul(t, t, tape), tape)
+        t = ad.add_scalar(ad.matmul_nt(cat, q, tape), s, tape)             # (5, 4)
+        return ad.mse(t, target, tape)
 
     tape = ad.Tape()
     loss = forward(tape)
     tape.backward(loss)
-    fd = central_difference_grads(forward, [a, s])
-    assert relative_gradient_error(a.grad, fd[0]) < 1e-5
-    assert relative_gradient_error(np.asarray(s.grad), fd[1]) < 1e-5
+    fd = central_difference_grads(forward, params)
+    for p, g in zip(params, fd):
+        assert relative_gradient_error(np.asarray(p.grad), g) < 1e-5
 
 
 def test_add_bias_and_row_const_backward():
@@ -242,8 +352,9 @@ def test_add_bias_and_row_const_backward():
     v = rng.uniform(-1, 1, size=3)
 
     def forward(tape=None):
-        out = ad.add_row_const(ad.add_bias(a, b, tape), v, tape)
-        return ad.mean_all(ad.mul(out, out, tape), tape)
+        # a @ I is exact, so linear(a, I, b) is the bias add a + b
+        out = ad.add_row_const(ad.linear(a, ad.Tensor(np.eye(3)), b, tape), v, tape)
+        return ad.mse(out, _zeros(4, 3), tape)
 
     tape = ad.Tape()
     loss = forward(tape)

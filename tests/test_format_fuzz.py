@@ -108,8 +108,9 @@ def _flipped(blob, offset):
 
 def _rejects(read, path, blob):
     path.write_bytes(blob)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as err:
         read(path)
+    return str(err.value)
 
 
 def test_odn1_every_truncation_rejected(files):
@@ -129,8 +130,15 @@ def test_odn1_byte_flips_rejected(files):
 def test_odm1_every_truncation_rejected(files):
     root, ds, _, blob = files
     path = root / "cut.odm"
+    header = len(ODM1_MAGIC) + 8  # magic, version, config length
     for cut in range(len(blob)):
-        _rejects(lambda p: load_checkpoint(p, ds), path, blob[:cut])
+        message = _rejects(lambda p: load_checkpoint(p, ds), path, blob[:cut])
+        if cut < len(ODM1_MAGIC):
+            assert message.endswith("bad magic, not an ODM1 checkpoint"), cut
+        elif cut < header:
+            assert message.endswith(f"truncated ODM1 file ({cut} bytes)"), cut
+        else:
+            assert message.endswith("CRC32 mismatch, file is corrupted"), cut
 
 
 def test_odm1_byte_flips_rejected(files):
@@ -165,3 +173,7 @@ def test_cli_damaged_files_exit_3(files, capsys):
     ):
         assert main(argv) == 3, argv
         assert capsys.readouterr().err.startswith("data error: ")
+    short_odm = root / "cli-short.odm"
+    short_odm.write_bytes(odm[:15])
+    assert main(["inspect", str(short_odm)]) == 3
+    assert capsys.readouterr().err.rstrip().endswith("truncated ODM1 file (15 bytes)")

@@ -171,9 +171,9 @@ class _OneParamLinear:
     def predict(self, u, y, tape=None):
         u = ad.as_tensor(u)
         n_y = np.asarray(y).shape[0]
-        coef = ad.matmul(u, self.w, tape)  # (n, 1)
-        ones = ad.Tensor(np.ones((1, n_y)))
-        return ad.matmul(coef, ones, tape)
+        coef = ad.linear(u, self.w, ad.Tensor(np.zeros(1)), tape)  # (n, 1)
+        ones = ad.Tensor(np.ones((n_y, 1)))
+        return ad.matmul_nt(coef, ones, tape)  # coef @ ones^T
 
     def parameters(self):
         return [self.w]
@@ -239,6 +239,24 @@ def test_nan_loss_aborts_with_epoch_index():
     assert err.value.epoch == 3
     assert err.value.report.epochs_run == 3
     assert "epoch 3" in str(err.value)
+    assert "first non-finite tensor is parameter 0 (shape (1, 1))" in str(err.value)
+
+
+@pytest.mark.parametrize("batch_size", [0, 4])
+def test_nan_loss_names_first_nonfinite_record(batch_size):
+    # finite parameters, one infinite input: the first non-finite tensor is
+    # the output of the first layer
+    rng = np.random.default_rng(4)
+    u = rng.uniform(0.5, 1.5, size=(12, 1))
+    u[7, 0] = np.inf
+    y = np.zeros((5, 1))
+    v = 2.0 * np.tile(np.where(np.isfinite(u), u, 1.0), (1, 5))
+    cfg = TrainConfig(epochs=5, lr0=1e-3, optimizer="adam", batch_size=batch_size, seed=0)
+    with pytest.raises(NumericError) as err:
+        train(_OneParamLinear(w0=1.0), u, v, y, cfg)
+    rows = 12 if batch_size == 0 else 4
+    assert err.value.epoch == 0
+    assert f"first non-finite tensor is the output of linear (shape ({rows}, 1))" in str(err.value)
 
 
 def test_pod_member_parameters_frozen_by_training():
