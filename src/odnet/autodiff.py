@@ -1,13 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The op set is deliberately small and shaped by the DeepONet hot path:
+The op set is deliberately small and shaped by the DeepONet hot path.
+It has ten ops:
 
 - ``linear`` (a dense layer, ``x @ w + b``),
 - ``matmul_nt`` (the ``branch @ trunk^T`` product, without a transpose),
 - ``mse`` (the training loss, from one residual),
-- ``add``, ``add_scalar`` and ``add_row_const`` (sums and broadcasts),
-- ``scale_rows``, ``embed_rows`` and ``concat_columns`` (PoU blending and
-  trunk stacking),
+- ``add_scalar`` and ``add_row_const`` (broadcasts),
+- ``scatter_add_rows`` (PoU blending) and ``concat_columns`` (trunk
+  stacking),
 - ``relu``, ``leaky_relu`` and ``tanh`` (activations).
 
 Each backward rule is short enough to audit by hand.
@@ -138,11 +139,6 @@ def _check_2d(t: Tensor, op: str):
         raise ShapeError(f"{op}: expected a 2-d tensor, got shape {t.data.shape}")
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Dense layer x @ w + b, with the (n,) bias added to every row in place.
 
@@ -206,7 +202,8 @@ def mse(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
     Backward: grad_pred = r * (g * 2/n) and grad_target = its negation.
     Scaling by 2 is exact, so this equals 2 * (r * (1/n)) bit for bit.
     """
-    _check_same_shape(pred, target, "mse")
+    if pred.data.shape != target.data.shape:
+        raise ShapeError(f"mse: shapes {pred.data.shape} and {target.data.shape} differ")
     r = pred.data - target.data
     out = Tensor((r * r).mean())
     if tape is not None and (pred._tracked or target._tracked):
@@ -218,19 +215,6 @@ def mse(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
             return (gp if need_p else None, -gp if need_t else None)
 
         tape.record(out, (pred, target), backward_fn)
-    return out
-
-
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-    if tape is not None and (a._tracked or b._tracked):
-        need_a, need_b = a._tracked, b._tracked
-
-        def backward_fn(g):
-            return (g if need_a else None, g if need_b else None)
-
-        tape.record(out, (a, b), backward_fn)
     return out
 
 
@@ -265,35 +249,44 @@ def add_row_const(a: Tensor, v: np.ndarray, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def scale_rows(a: Tensor, w: np.ndarray, tape: Tape | None = None) -> Tensor:
-    """Scale row i of ``a`` by the constant weight w[i]."""
-    _check_2d(a, "scale_rows")
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != a.data.shape[0]:
-        raise ShapeError(
-            f"scale_rows: weights shape {w.shape} does not match rows of {a.data.shape}"
-        )
-    col = w[:, None]
-    out = Tensor(a.data * col)
-    if tape is not None and a._tracked:
-        tape.record(out, (a,), lambda g: (g * col,))
-    return out
+def scatter_add_rows(parts, n_rows: int, tape: Tape | None = None) -> Tensor:
+    """Weighted rows scattered into one (n_rows, cols) sum: starting from
+    zeros, ``out[idx] += a * w[:, None]`` for each ``(a, idx, w)`` part, in
+    the order given. ``idx`` must not repeat a row within one part.
 
-
-def embed_rows(a: Tensor, idx: np.ndarray, n_rows: int, tape: Tape | None = None) -> Tensor:
-    """Place the rows of ``a`` at positions ``idx`` of an otherwise-zero
-    (n_rows, a.cols) tensor. ``idx`` must not contain duplicates."""
-    _check_2d(a, "embed_rows")
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1 or idx.shape[0] != a.data.shape[0]:
-        raise ShapeError(
-            f"embed_rows: index shape {idx.shape} does not match rows of {a.data.shape}"
-        )
-    data = np.zeros((int(n_rows), a.data.shape[1]), dtype=np.float64)
-    data[idx] = a.data
+    Backward: grad_a = g[idx] * w[:, None] for each part.
+    """
+    parts = [(a, np.asarray(idx, dtype=np.intp), np.asarray(w, dtype=np.float64))
+             for a, idx, w in parts]
+    if not parts:
+        raise ShapeError("scatter_add_rows: need at least one part")
+    for a, idx, w in parts:
+        _check_2d(a, "scatter_add_rows")
+        rows, cols = a.data.shape
+        if cols != parts[0][0].data.shape[1]:
+            raise ShapeError(
+                f"scatter_add_rows: column counts differ "
+                f"({parts[0][0].data.shape[1]} vs {cols})"
+            )
+        if idx.shape != (rows,) or w.shape != (rows,):
+            raise ShapeError(
+                f"scatter_add_rows: index shape {idx.shape} and weights shape "
+                f"{w.shape} must both be ({rows},)"
+            )
+    data = np.zeros((int(n_rows), cols), dtype=np.float64)
+    for a, idx, w in parts:
+        data[idx] += a.data * w[:, None]
     out = Tensor(data)
-    if tape is not None and a._tracked:
-        tape.record(out, (a,), lambda g: (g[idx],))
+    needs = [a._tracked for a, _, _ in parts]
+    if tape is not None and any(needs):
+
+        def backward_fn(g):
+            return tuple(
+                g[idx] * w[:, None] if need else None
+                for (_, idx, w), need in zip(parts, needs)
+            )
+
+        tape.record(out, tuple(a for a, _, _ in parts), backward_fn)
     return out
 
 

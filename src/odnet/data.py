@@ -289,7 +289,7 @@ def gen_reaction_diffusion_2d(params: RDParams, n_samples: int, seed: int = 0) -
     meta = {
         "generator": "rd2d",
         "seed": str(int(seed)),
-        "n": str(params.n),
+        "grid": str(params.n),
         "branch_grid": str(params.branch_grid),
         "nu": repr(params.nu),
         "t_final": repr(params.t_final),

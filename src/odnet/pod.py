@@ -40,10 +40,6 @@ class PODBasis:
             raise DataError("one eigenvalue per mode required")
 
     @property
-    def n_locations(self):
-        return self.modes.shape[0]
-
-    @property
     def n_modes(self):
         return self.modes.shape[1]
 

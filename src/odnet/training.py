@@ -74,12 +74,7 @@ class TrainReport:
 
 def mse_loss(pred: ad.Tensor, target, tape: ad.Tape | None = None) -> ad.Tensor:
     """Mean over all entries of the squared difference."""
-    target = ad.as_tensor(target)
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(
-            f"mse_loss: prediction shape {pred.data.shape} != target shape {target.data.shape}"
-        )
-    return ad.mse(pred, target, tape)
+    return ad.mse(pred, ad.as_tensor(target), tape)
 
 
 def inverse_time_lr(lr0: float, gamma: float, step_interval: int, step: int) -> float:
@@ -146,7 +141,8 @@ def make_optimizer(model, cfg: TrainConfig):
 
 
 def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainReport:
-    """Full forward -> MSE -> backward -> optimizer-step epochs.
+    """Full forward -> MSE -> backward -> optimizer-step epochs. The model
+    is bound to ``y_locations`` once, before the first epoch.
 
     Aborts with NumericError (carrying the epoch index and the partial
     report) as soon as the loss stops being finite. Its message names the
@@ -155,7 +151,6 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
     """
     u = np.asarray(u_samples, dtype=np.float64)
     v = np.asarray(v_targets, dtype=np.float64)
-    y = np.asarray(y_locations, dtype=np.float64)
     if u.shape[0] != v.shape[0]:
         raise ShapeError(f"got {u.shape[0]} inputs but {v.shape[0]} targets")
     optimizer = make_optimizer(model, cfg)
@@ -167,18 +162,20 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
 
     u_full = ad.Tensor(u)
     v_full = ad.Tensor(v)
+    bound = model.bind(y_locations)
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         lr = inverse_time_lr(cfg.lr0, cfg.gamma, decay_every, epoch)
         try:
             if batch == n:
-                epoch_loss = _step(model, optimizer, u_full, v_full, y, lr)
+                epoch_loss = _step(model, optimizer, u_full, v_full, bound, lr)
             else:
                 order = rng.permutation(n)
                 total = 0.0
                 for lo in range(0, n, batch):
                     sel = order[lo: lo + batch]
-                    loss = _step(model, optimizer, ad.Tensor(u[sel]), ad.Tensor(v[sel]), y, lr)
+                    loss = _step(model, optimizer, ad.Tensor(u[sel]), ad.Tensor(v[sel]),
+                                 bound, lr)
                     total += loss * sel.size
                 epoch_loss = total / n
         except NumericError as exc:
@@ -201,9 +198,9 @@ def _aborted(epoch: int, report: TrainReport, detail: str) -> NumericError:
     return err
 
 
-def _step(model, optimizer, u_t, v_t, y, lr) -> float:
+def _step(model, optimizer, u_t, v_t, bound, lr) -> float:
     tape = ad.Tape()
-    pred = model.predict(u_t, y, tape)
+    pred = model.predict(u_t, bound, tape)
     loss = mse_loss(pred, v_t, tape)
     value = float(loss.data)
     if not np.isfinite(value):

@@ -11,13 +11,18 @@ scalar bias b0 is present unless the model is a standalone standard-POD
 DeepONet, and the offset row appears when a standard (non-modified) POD
 member is in the ensemble.
 
-Patch summation in the PoU member always runs sequentially in declared
-patch order, so results are bit-reproducible.
+``EnsembleModel.bind(y)`` works out once what depends only on Y: the
+locations for a vanilla member, the rows and constant columns for a POD
+member, one ``(expert, idx, y[idx], w[idx])`` entry per active patch for
+the PoU member, and the summed offset row. A binding holds experts, not
+their outputs, so it stays valid while their weights change. PoU patches
+are summed sequentially in declared order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .pod import PODBasis, trunk_matrix
 class VanillaTrunk:
     """A plain MLP trunk; the last layer is activated."""
 
-    kind = "vanilla"
+    offset = None  # no additive mean-function row
 
     def __init__(self, mlp: MLP):
         if not mlp.config.activate_last:
@@ -46,6 +51,9 @@ class VanillaTrunk:
     def input_dim(self):
         return self.mlp.config.input_dim
 
+    def bind(self, y) -> np.ndarray:
+        return np.asarray(y, dtype=np.float64)
+
     def forward(self, y, tape=None) -> ad.Tensor:
         return self.mlp.forward(y, tape)
 
@@ -56,7 +64,20 @@ class VanillaTrunk:
         return self.mlp.weight_tensors()
 
     def basis_column(self, y, column: int) -> np.ndarray:
-        return self.forward(y).data[:, column].copy()
+        return self.forward(self.bind(y)).data[:, column].copy()
+
+
+class PODRows(NamedTuple):
+    """A POD member bound to Y: basis rows and the constant trunk columns."""
+
+    rows: np.ndarray
+    columns: ad.Tensor
+
+
+def _row_keys(y: np.ndarray) -> np.ndarray:
+    """Each row of a float64 (n, d) array as one opaque item of its bytes."""
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    return y.view(np.dtype((np.void, y.dtype.itemsize * y.shape[1]))).ravel()
 
 
 class PODTrunk:
@@ -71,56 +92,40 @@ class PODTrunk:
             raise ValueError("PODTrunk needs a basis with attached y_locations")
         self.basis = basis
         self.modified = bool(modified)
-        self._p = int(p)
+        self.p = int(p)
         self.columns, self.offset = trunk_matrix(basis, p, modified)
-        self._row_index = {
-            basis.y_locations[i].tobytes(): i for i in range(basis.n_locations)
-        }
-        self._cache_key = None
-        self._cache_rows = None
-
-    @property
-    def kind(self):
-        return "pod_modified" if self.modified else "pod"
-
-    @property
-    def p(self):
-        return self._p
+        # Exact-byte row lookup, sorted once; a stable sort keeps equal
+        # rows in index order.
+        keys = _row_keys(basis.y_locations)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
 
     @property
     def input_dim(self):
         return self.basis.y_locations.shape[1]
 
-    def row_indices(self, y) -> np.ndarray:
-        y = np.ascontiguousarray(y, dtype=np.float64)
+    def bind(self, y) -> PODRows:
+        y = np.asarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != self.input_dim:
             raise ShapeError(
                 f"POD trunk: locations shape {y.shape} does not match d_v {self.input_dim}"
             )
-        key = y.tobytes()
-        if key == self._cache_key:
-            return self._cache_rows
-        try:
-            rows = np.array([self._row_index[y[i].tobytes()] for i in range(y.shape[0])])
-        except KeyError:
+        keys = _row_keys(y)
+        # The last of equal rows wins, as in a bytes-keyed dict; pos -1 never matches.
+        pos = np.searchsorted(self._sorted_keys, keys, side="right") - 1
+        if np.any(self._sorted_keys[pos] != keys):
             raise IndexError(
                 "POD trunk evaluated off the training locations Y; "
                 "modes exist only at training sample locations"
-            ) from None
-        self._cache_key = key
-        self._cache_rows = rows
-        return rows
+            )
+        rows = self._order[pos]
+        columns = self.columns[rows]
+        columns.flags.writeable = False
+        return PODRows(rows, ad.Tensor(columns))
 
-    def forward(self, y, tape=None) -> ad.Tensor:
-        rows = self.row_indices(np.asarray(y.data if isinstance(y, ad.Tensor) else y))
-        return ad.Tensor(self.columns[rows])
-
-    def offset_at(self, y):
-        """Additive mean-function values (standard flavor only)."""
-        if self.offset is None:
-            return None
-        rows = self.row_indices(np.asarray(y))
-        return self.offset[rows]
+    def forward(self, bound: PODRows, tape=None) -> ad.Tensor:
+        """The constant columns at the bound locations."""
+        return bound.columns
 
     def parameters(self):
         return []
@@ -130,12 +135,19 @@ class PODTrunk:
 
     def basis_column(self, y, column: int) -> np.ndarray:
         """Unscaled basis function values (phi0 or an eigenmode)."""
-        rows = self.row_indices(np.asarray(y))
+        rows = self.bind(y).rows
         if self.modified:
             if column == 0:
                 return self.basis.mean_function[rows].copy()
             return self.basis.modes[rows, column - 1].copy()
         return self.basis.modes[rows, column].copy()
+
+
+class PoUPatches(NamedTuple):
+    """A PoU member bound to Y: its row count and active patches."""
+
+    n_rows: int
+    patches: tuple
 
 
 class PoUTrunk:
@@ -145,7 +157,7 @@ class PoUTrunk:
     only those experts receive gradients from that point.
     """
 
-    kind = "pou"
+    offset = None  # no additive mean-function row
 
     def __init__(self, patchset: PatchSet, experts, p: int):
         experts = list(experts)
@@ -160,33 +172,32 @@ class PoUTrunk:
                 raise ShapeError("expert input dim must equal the patch dimension")
         self.patchset = patchset
         self.experts = experts
-        self._p = int(p)
-
-    @property
-    def p(self):
-        return self._p
+        self.p = int(p)
 
     @property
     def input_dim(self):
         return self.patchset.dimension
 
-    def forward(self, y, tape=None) -> ad.Tensor:
-        y = np.asarray(y.data if isinstance(y, ad.Tensor) else y, dtype=np.float64)
-        weights = pou_weight_matrix(self.patchset, y, strict=True)
-        n = y.shape[0]
-        acc = None
+    def bind(self, y, strict: bool = True) -> PoUPatches:
+        """One (expert, idx, y[idx], w[idx]) entry per patch active in y, in
+        declared order; strict=False lets uncovered points through."""
+        y = np.asarray(y, dtype=np.float64)
+        weights = pou_weight_matrix(self.patchset, y, strict=strict)
+        patches = []
         for k, expert in enumerate(self.experts):
             wk = weights[:, k]
             idx = np.flatnonzero(wk > 0.0)
-            if idx.size == 0:
-                continue
-            out_k = expert.forward(y[idx], tape)
-            out_k = ad.scale_rows(out_k, wk[idx], tape)
-            placed = ad.embed_rows(out_k, idx, n, tape)
-            acc = placed if acc is None else ad.add(acc, placed, tape)
-        if acc is None:
-            acc = ad.Tensor(np.zeros((n, self._p)))
-        return acc
+            if idx.size:
+                patches.append((expert, idx, y[idx], wk[idx]))
+        return PoUPatches(y.shape[0], tuple(patches))
+
+    def forward(self, bound: PoUPatches, tape=None) -> ad.Tensor:
+        """Active experts at their points, blended in declared patch order."""
+        if not bound.patches:
+            return ad.Tensor(np.zeros((bound.n_rows, self.p)))
+        parts = [(expert.forward(y_k, tape), idx, w_k)
+                 for expert, idx, y_k, w_k in bound.patches]
+        return ad.scatter_add_rows(parts, bound.n_rows, tape)
 
     def parameters(self):
         return [t for e in self.experts for t in e.parameters()]
@@ -196,15 +207,15 @@ class PoUTrunk:
 
     def basis_column(self, y, column: int) -> np.ndarray:
         """One blended column; exactly 0 at points outside every patch."""
-        y = np.asarray(y, dtype=np.float64)
-        weights = pou_weight_matrix(self.patchset, y, strict=False)
-        col = np.zeros(y.shape[0])
-        for k, expert in enumerate(self.experts):
-            idx = np.flatnonzero(weights[:, k] > 0.0)
-            if idx.size == 0:
-                continue
-            col[idx] += weights[idx, k] * expert.forward(y[idx]).data[:, column]
-        return col
+        return self.forward(self.bind(y, strict=False)).data[:, column].copy()
+
+
+class Binding(NamedTuple):
+    """A model bound to fixed locations Y by ``EnsembleModel.bind``."""
+
+    model: "EnsembleModel"
+    parts: tuple  # one per member, what its forward takes
+    offset: np.ndarray | None  # summed mean-function rows of standard POD members
 
 
 class EnsembleModel:
@@ -239,39 +250,41 @@ class EnsembleModel:
     def location_dim(self):
         return self.members[0].input_dim
 
-    def trunk_forward(self, y, tape=None) -> ad.Tensor:
+    def bind(self, y) -> Binding:
+        """Bind the trunk to the locations ``y`` (B_y, d_v) once, so that
+        predictions at them redo no location work."""
+        y = np.asarray(y.data if isinstance(y, ad.Tensor) else y, dtype=np.float64)
+        parts = tuple(m.bind(y) for m in self.members)
+        offsets = [m.offset[part.rows] for m, part in zip(self.members, parts)
+                   if m.offset is not None]
+        return Binding(self, parts, sum(offsets[1:], offsets[0]) if offsets else None)
+
+    def trunk_forward(self, bound: Binding, tape=None) -> ad.Tensor:
         """Column-wise concatenation of member outputs, declaration order."""
-        outs = [m.forward(y, tape) for m in self.members]
+        outs = [m.forward(part, tape) for m, part in zip(self.members, bound.parts)]
         if len(outs) == 1:
             return outs[0]
         return ad.concat_columns(outs, tape)
 
-    def _offset_row(self, y):
-        offsets = None
-        for m in self.members:
-            if isinstance(m, PODTrunk):
-                o = m.offset_at(y)
-                if o is not None:
-                    offsets = o if offsets is None else offsets + o
-        return offsets
-
     def predict(self, u, y, tape=None) -> ad.Tensor:
-        """Prediction matrix of shape (B_u, B_y)."""
+        """Prediction matrix of shape (B_u, B_y); ``y`` is the locations
+        or a binding of them made by this model's ``bind``."""
         u = ad.as_tensor(u)
         if u.data.ndim != 2 or u.data.shape[1] != self.input_dim:
             raise ShapeError(
                 f"predict: input-function samples have N_x={u.data.shape[1] if u.data.ndim == 2 else u.data.shape}, "
                 f"branch expects N_x={self.input_dim}"
             )
-        y_arr = np.asarray(y.data if isinstance(y, ad.Tensor) else y, dtype=np.float64)
+        bound = y if isinstance(y, Binding) else self.bind(y)
+        if bound.model is not self:
+            raise ValueError("predict: the binding was made by another model")
         branch_out = self.branch.forward(u, tape)
-        trunk_out = self.trunk_forward(y_arr, tape)
+        trunk_out = self.trunk_forward(bound, tape)
         pred = ad.matmul_nt(branch_out, trunk_out, tape)
         if self.bias is not None:
             pred = ad.add_scalar(pred, self.bias, tape)
-        offsets = self._offset_row(y_arr)
-        if offsets is not None:
-            pred = ad.add_row_const(pred, offsets, tape)
+        if bound.offset is not None:
+            pred = ad.add_row_const(pred, bound.offset, tape)
         return pred
 
     def parameters(self):

@@ -126,6 +126,50 @@ def test_mse_matches_numpy_bit_for_bit():
     np.testing.assert_array_equal(t.grad, -p.grad)
 
 
+def _old_scatter_chain(arrays, idxs, ws, n_rows):
+    """The op chain scatter_add_rows replaces: scale each part's rows, place
+    them in zeros, and add the placed arrays left to right."""
+    acc = None
+    for a, idx, w in zip(arrays, idxs, ws):
+        placed = np.zeros((n_rows, a.shape[1]))
+        placed[idx] = a * w[:, None]
+        acc = placed if acc is None else acc + placed
+    return acc
+
+
+def test_scatter_add_rows_matches_old_chain_bit_for_bit():
+    # random normal entries hold no -0.0, the one value where a sum started
+    # from zeros and the chain can differ (0.0 + -0.0 is +0.0)
+    rng = np.random.default_rng(24)
+    n_rows = 9
+    idxs = [np.array([0, 2, 3, 7]), np.array([3, 4, 8]), np.array([7, 1, 0, 5, 6])]
+    arrays = [rng.normal(size=(i.size, 4)) for i in idxs]
+    ws = [rng.uniform(0.0, 1.0, size=i.size) for i in idxs]
+    tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    target = rng.normal(size=(n_rows, 4))
+    tape = ad.Tape()
+    out = ad.scatter_add_rows(list(zip(tensors, idxs, ws)), n_rows, tape)
+    assert out.data.tobytes() == _old_scatter_chain(arrays, idxs, ws, n_rows).tobytes()
+    tape.backward(ad.mse(out, ad.Tensor(target), tape))
+    g = (out.data - target) * (2.0 / out.size)
+    for t, idx, w in zip(tensors, idxs, ws):
+        # embed_rows then scale_rows backward: g[idx], then times w
+        assert t.grad.tobytes() == (g[idx] * w[:, None]).tobytes()
+
+
+def test_scatter_add_rows_shape_errors():
+    ones = np.ones(2)
+    for parts in (
+        [],                                                        # no parts
+        [(_zeros(2), [0, 1], ones)],                               # not 2-d
+        [(_zeros(2, 3), [0, 1], ones), (_zeros(2, 2), [2, 3], ones)],  # columns
+        [(_zeros(2, 3), [0, 1, 2], ones)],                         # idx length
+        [(_zeros(2, 3), [0, 1], np.ones(3))],                      # w length
+    ):
+        with pytest.raises(ShapeError, match="scatter_add_rows"):
+            ad.scatter_add_rows(parts, 4)
+
+
 def test_tape_names_first_nonfinite_record():
     w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     x = np.ones((3, 2))
@@ -150,8 +194,10 @@ def test_elementwise_values():
 
 
 def test_elementwise_shape_mismatch():
+    # summing a (2, 2) and a (2, 3) tensor
     with pytest.raises(ShapeError):
-        ad.add(ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((2, 3))))
+        ad.scatter_add_rows([(_zeros(2, 2), [0, 1], np.ones(2)),
+                             (_zeros(2, 3), [0, 1], np.ones(2))], 2)
     # mse: any shape difference, including a transposed target
     for p, t in ((_zeros(3), _zeros(4)), (_zeros(2, 3), _zeros(3, 2)), (_zeros(1, 1), _zeros())):
         with pytest.raises(ShapeError, match="mse"):
@@ -289,7 +335,7 @@ def test_backward_visits_each_node_once():
     tape = ad.Tape()
     shared = ad.tanh(w, tape)
     a = ad.mse(shared, _zeros(1, 2), tape)  # sum of squares / 2
-    b = _total(ad.add(shared, shared, tape), tape)
+    b = _total(ad.scatter_add_rows([(shared, [0], [1.0]), (shared, [0], [1.0])], 1, tape), tape)
     both = ad.concat_columns([ad.add_scalar(_zeros(1, 1), a, tape), b], tape)
     loss = ad.linear(both, ad.Tensor([[2.0], [1.0]]), _zeros(1), tape)
     tape.backward(_unit_loss(loss, tape))
@@ -316,8 +362,9 @@ def test_determinism_bit_identical():
 
 
 def test_structural_ops_match_finite_differences():
-    # exercises scale_rows, embed_rows, concat_columns, add_scalar, and the
-    # fused linear, matmul_nt and mse with every input tracked
+    # exercises scatter_add_rows (one input in two overlapping parts),
+    # concat_columns, add_scalar, and the fused linear, matmul_nt and mse
+    # with every input tracked
     rng = np.random.default_rng(5)
     a = ad.Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
     s = ad.Tensor(np.array(0.3), requires_grad=True)
@@ -327,11 +374,13 @@ def test_structural_ops_match_finite_differences():
     target = ad.Tensor(rng.uniform(-1, 1, size=(5, 4)), requires_grad=True)
     w = rng.uniform(0.1, 1.0, size=2)
     idx = np.array([1, 3])
+    w2 = rng.uniform(0.1, 1.0, size=2)
+    idx2 = np.array([3, 0])
     params = [a, s, m, c, q, target]
 
     def forward(tape=None):
         act = ad.tanh(a, tape)
-        placed = ad.embed_rows(ad.scale_rows(act, w, tape), idx, 5, tape)  # (5, 3)
+        placed = ad.scatter_add_rows([(act, idx, w), (act, idx2, w2)], 5, tape)  # (5, 3)
         right = ad.linear(placed, m, c, tape)                              # (5, 2)
         cat = ad.concat_columns([placed, right], tape)                     # (5, 5)
         t = ad.add_scalar(ad.matmul_nt(cat, q, tape), s, tape)             # (5, 4)

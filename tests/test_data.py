@@ -143,6 +143,9 @@ def test_rd_dataset_shapes_and_inputs():
     # determinism
     ds2 = gen_reaction_diffusion_2d(params, 3, seed=5)
     assert ds.V.tobytes() == ds2.V.tobytes()
+    # the solver grid size is `grid`, as in the config; `[data] n` is the
+    # sample count, so no metadata key `n` may suggest otherwise
+    assert ds.metadata["grid"] == "8" and "n" not in ds.metadata
 
 
 def test_rd_dataset_affine_oracle():

@@ -168,11 +168,13 @@ class _OneParamLinear:
     def __init__(self, w0=0.0):
         self.w = ad.Tensor(np.array([[w0]]), requires_grad=True)
 
+    def bind(self, y):
+        # all this model needs of the locations: a (n_y, 1) column of ones
+        return ad.Tensor(np.ones((np.asarray(y).shape[0], 1)))
+
     def predict(self, u, y, tape=None):
-        u = ad.as_tensor(u)
-        n_y = np.asarray(y).shape[0]
-        coef = ad.linear(u, self.w, ad.Tensor(np.zeros(1)), tape)  # (n, 1)
-        ones = ad.Tensor(np.ones((n_y, 1)))
+        ones = y if isinstance(y, ad.Tensor) else self.bind(y)
+        coef = ad.linear(ad.as_tensor(u), self.w, ad.Tensor(np.zeros(1)), tape)  # (n, 1)
         return ad.matmul_nt(coef, ones, tape)  # coef @ ones^T
 
     def parameters(self):
@@ -298,6 +300,30 @@ def test_gradient_flow_completeness_on_pou():
         not np.array_equal(w.data, b) for w, b in zip(experts[1].weights, before[1])
     )
     assert moved0 and not moved1
+
+
+@pytest.mark.parametrize("batch_size", [0, 4])
+def test_pou_weights_computed_once_per_train(monkeypatch, batch_size):
+    # Y is fixed for the run, so its PoU weights and index sets are worked
+    # out once by model.bind, not once per epoch or batch
+    import odnet.trunks
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pou_weight_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(odnet.trunks, "pou_weight_matrix", counting)
+    ps = PatchSet([Patch([-0.5], 1.0), Patch([0.5], 1.0)])
+    experts = [init_mlp(MLPConfig(1, (6,), 3, "tanh", True), k) for k in range(2)]
+    branch = init_mlp(MLPConfig(4, (6,), 3, "tanh", False), 7)
+    model = EnsembleModel([PoUTrunk(ps, experts, 3)], branch, None)
+    u, v, y = _toy_problem(np.random.default_rng(10))
+    cfg = TrainConfig(epochs=5, lr0=1e-2, optimizer="adam", batch_size=batch_size, seed=0)
+    report = train(model, u, v, y, cfg)
+    assert report.epochs_run == 5
+    assert len(calls) == 1
 
 
 def test_loss_decreases_on_builtin_generators():

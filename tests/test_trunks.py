@@ -41,7 +41,7 @@ def test_pou_single_active_expert_equals_expert():
     y = np.array([[-1.5, 0.0]])
     assert np.linalg.norm(y[0] - trunk.patchset.centers[0]) < trunk.patchset.radii[0]
     assert np.linalg.norm(y[0] - trunk.patchset.centers[1]) > trunk.patchset.radii[1]
-    out = trunk.forward(y).data
+    out = trunk.forward(trunk.bind(y)).data
     expert = trunk.experts[0].forward(y).data
     np.testing.assert_array_equal(out, expert)
 
@@ -49,7 +49,7 @@ def test_pou_single_active_expert_equals_expert():
 def test_pou_symmetric_point_is_mean_of_experts():
     trunk = make_pou()
     y = np.array([[0.0, 0.3]])  # equidistant from both centers
-    out = trunk.forward(y).data
+    out = trunk.forward(trunk.bind(y)).data
     e0 = trunk.experts[0].forward(y).data
     e1 = trunk.experts[1].forward(y).data
     np.testing.assert_allclose(out, 0.5 * (e0 + e1), atol=1e-14)
@@ -66,20 +66,20 @@ def test_pou_matches_dense_sum_oracle():
     dense = np.zeros((y.shape[0], 4))
     for k, expert in enumerate(trunk.experts):
         dense += w[:, k][:, None] * expert.forward(y).data  # includes zero-weight experts
-    np.testing.assert_allclose(trunk.forward(y).data, dense, atol=1e-14)
+    np.testing.assert_allclose(trunk.forward(trunk.bind(y)).data, dense, atol=1e-14)
 
 
 def test_pou_uncovered_point_errors():
     trunk = make_pou()
     with pytest.raises(CoverageError):
-        trunk.forward(np.array([[5.0, 5.0]]))
+        trunk.bind(np.array([[5.0, 5.0]]))
 
 
 def test_ensemble_width_law():
     members = [make_vanilla(p=2, seed=0), make_vanilla(p=3, seed=1)]
     model = EnsembleModel(members, make_branch(6, 5), ad.Tensor(np.zeros(()), requires_grad=True))
     y = np.random.default_rng(0).uniform(-1, 1, size=(4, 2))
-    assert model.trunk_forward(y).data.shape == (4, 5)
+    assert model.trunk_forward(model.bind(y)).data.shape == (4, 5)
     assert model.total_p == sum(m.p for m in members) == model.branch.config.output_dim
 
 
@@ -87,7 +87,7 @@ def test_single_member_trunk_identical_to_member():
     member = make_vanilla(p=4, seed=2)
     model = EnsembleModel([member], make_branch(5, 4), None)
     y = np.random.default_rng(1).uniform(-1, 1, size=(6, 2))
-    np.testing.assert_array_equal(model.trunk_forward(y).data, member.forward(y).data)
+    np.testing.assert_array_equal(model.trunk_forward(model.bind(y)).data, member.forward(y).data)
 
 
 def test_full_scale_widths_vanilla_pod():
@@ -103,7 +103,7 @@ def test_full_scale_widths_vanilla_pod():
         ad.Tensor(np.zeros(()), requires_grad=True),
     )
     assert model.total_p == 120
-    assert model.trunk_forward(y_locs).data.shape == (40, 120)
+    assert model.trunk_forward(model.bind(y_locs)).data.shape == (40, 120)
 
 
 def test_p_plus_one_vanilla_width_700():
@@ -190,7 +190,60 @@ def test_pod_member_rejects_off_grid_points():
     y_locs = rng.uniform(0, 1, size=(10, 2))
     member = PODTrunk(compute_pod(snapshots, 3, y_locations=y_locs), 3, modified=True)
     with pytest.raises(IndexError):
-        member.forward(rng.uniform(0, 1, size=(4, 2)))
+        member.bind(rng.uniform(0, 1, size=(4, 2)))
+
+
+def _pod_member(y_locs, modified):
+    rng = np.random.default_rng(17)
+    snapshots = rng.normal(size=(6, y_locs.shape[0])) + 1.0
+    return PODTrunk(compute_pod(snapshots, 3, y_locations=y_locs), 3, modified=modified)
+
+
+def test_pod_row_lookup_permuted_subset_repeated():
+    y_locs = np.random.default_rng(18).uniform(0, 1, size=(10, 2))
+    member = _pod_member(y_locs, modified=True)
+    for rows in (np.random.default_rng(19).permutation(10),  # permuted
+                 np.array([7, 2, 5]),                         # subset
+                 np.array([3, 3, 0, 9, 3, 0])):               # repeated
+        bound = member.bind(y_locs[rows])
+        np.testing.assert_array_equal(bound.rows, rows)
+        assert bound.columns.data.tobytes() == member.columns[rows].tobytes()
+        assert not bound.columns.data.flags.writeable  # shared by every step
+    # the lookup is built once; no per-call cache or dict remains
+    assert not any(isinstance(v, dict) for v in vars(member).values())
+
+
+def test_pod_row_lookup_is_exact_bytes():
+    y_locs = np.array([[0.0, 0.5], [0.25, 0.5], [0.5, 0.75], [1.0, 0.0]])
+    member = _pod_member(y_locs, modified=False)
+    assert member.bind(np.array([[0.0, 0.5]])).rows.tolist() == [0]
+    for off_grid in ([[-0.0, 0.5]],                        # -0.0 differs from 0.0
+                     [[0.25, np.nextafter(0.5, 1.0)]],     # 1 ulp away
+                     [[1.0, 0.0], [0.75, 0.75]],           # one row off the grid
+                     [[0.0, 0.0]]):                        # bytes sort before every row
+        with pytest.raises(IndexError):
+            member.bind(np.array(off_grid))
+
+
+def test_reused_binding_sees_in_place_weight_changes():
+    # a binding holds the experts, not their outputs: after training-style
+    # in-place updates it predicts what a fresh bind does, bit for bit
+    rng = np.random.default_rng(20)
+    y = rng.uniform(0.0, 1.0, size=(12, 2))
+    pod = _pod_member(y, modified=False)
+    pou = make_pou(p=3, seed=21)
+    vanilla = make_vanilla(p=2, seed=22)
+    model = EnsembleModel([vanilla, pod, pou], make_branch(4, 8, seed=23),
+                          ad.Tensor(np.array(0.1), requires_grad=True))
+    u = rng.uniform(-1, 1, size=(3, 4))
+    bound = model.bind(y)
+    assert model.predict(u, bound).data.tobytes() == model.predict(u, y).data.tobytes()
+    for t in model.parameters():
+        t.data += 0.01 * rng.normal(size=t.data.shape)
+    assert model.predict(u, bound).data.tobytes() == model.predict(u, y).data.tobytes()
+    other = EnsembleModel([vanilla], make_branch(4, 2), None)
+    with pytest.raises(ValueError, match="another model"):
+        other.predict(u, bound)
 
 
 def test_pod_member_has_no_parameters():
