@@ -27,7 +27,7 @@ from .data import OperatorDataset
 from .errors import DataError
 from .networks import MLP, MLPConfig
 from .partition import Patch, PatchSet
-from .pod import PODBasis
+from .pod import PODBasis, numerical_rank
 from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk
 
 MAGIC = b"ODNMDL01"
@@ -81,6 +81,15 @@ def collect_state(model: EnsembleModel):
     if model.bias is not None:
         arrays["bias"] = model.bias.data
     return attrs, arrays
+
+
+def pod_ranks(arrays: dict) -> dict:
+    """``pod_rank.<member>`` -> "numerical rank/stored modes" for each POD
+    member, from the eigenvalues among a checkpoint's arrays."""
+    return {
+        f"pod_rank.{name.split('.')[0]}": f"{numerical_rank(lam)}/{lam.size}"
+        for name, lam in sorted(arrays.items()) if name.endswith(".pod.eigenvalues")
+    }
 
 
 def save_checkpoint(model: EnsembleModel, config_text: str, path, seed: int = 0):

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 data/file error,
 4 numeric failure (NaN loss or solver blowup). Every run writes a
 manifest (config text, seed, versions; for train and eval also the
-dataset file, its stored CRC32, sample count, generator and seed)
-alongside its outputs.
+dataset file, its stored CRC32, sample count, generator and seed; for
+train also each POD member's numerical rank) alongside its outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, read_checkpoint_raw, save_checkpoint
+from .checkpoint import (collect_state, load_checkpoint, pod_ranks, read_checkpoint_raw,
+                         save_checkpoint)
 from .data import read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
 from .evaluation import evaluate_model
@@ -96,7 +97,7 @@ def _train_one_seed(cfg, dataset_path: str, seed: int, out_prefix: str):
     save_checkpoint(model, cfg.text, ckpt, seed=seed)
     report.to_csv(losscsv)
     _write_manifest(f"{out_prefix}-seed{seed}.manifest.txt", cfg.text, seed,
-                    _data_record(dataset_path, ds))
+                    {**_data_record(dataset_path, ds), **pod_ranks(collect_state(model)[1])})
     return seed, ckpt, report.losses[-1], report.mean_epoch_seconds(), model.parameter_hash()
 
 
@@ -164,7 +165,7 @@ def cmd_export_basis(args) -> int:
     if not columns:
         raise ConfigError("--columns must list at least one trunk column")
     try:
-        values = [export_basis(model, ds.Y, c) for c in columns]
+        values = export_basis(model, ds.Y, columns)
     except IndexError as exc:
         raise ConfigError(str(exc)) from None
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -173,7 +174,7 @@ def cmd_export_basis(args) -> int:
         fh.write(f"{head},{cols}\n")
         for i in range(ds.n_y):
             coords = ",".join(f"{c:.17g}" for c in ds.Y[i])
-            vals = ",".join(f"{v[i]:.17g}" for v in values)
+            vals = ",".join(f"{v:.17g}" for v in values[i])
             fh.write(f"{coords},{vals}\n")
     _write_manifest(args.out + ".manifest.txt", config_text, attrs.get("seed", "?"))
     print(f"wrote {args.out}: {len(columns)} column(s) over {ds.n_y} locations")
@@ -195,6 +196,8 @@ def cmd_inspect(args) -> int:
         print(f"ODM1 checkpoint: {len(arrays)} arrays")
         for k in sorted(attrs):
             print(f"  {k}={attrs[k]}")
+        for k, rank in pod_ranks(arrays).items():
+            print(f"  {k}={rank}")
         total = sum(a.size for a in arrays.values())
         print(f"  total_values={total}")
         return 0

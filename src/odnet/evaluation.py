@@ -105,6 +105,8 @@ def evaluate_model(model, u_samples, v_targets, y_locations,
                    dataset_name: str = "dataset", model_name: str = "model") -> EvalReport:
     """Timed prediction over a sample batch plus the full error protocol.
 
+    ``y_locations`` is the locations or a binding of them made by
+    ``model.bind``, so repeated calls at fixed locations can bind once.
     Vector-valued targets are reduced to pointwise magnitudes first.
     """
     v = np.asarray(v_targets, dtype=np.float64)

@@ -1,12 +1,20 @@
 """Snapshot POD of output-function data.
 
 Snapshots are standardized per function (spatial mean removed, divided by
-the population spatial standard deviation), the covariance surrogate
-T = (1/N) Vs^T Vs is eigen-decomposed, and the modes with the largest
-eigenvalues are kept. The raw (unstandardized) pointwise mean of the
-training outputs is carried alongside as the mean function phi0: the
-standard POD trunk adds it to predictions, the modified POD trunk keeps
-it as an extra basis column.
+the population spatial standard deviation). The modes are the leading
+eigenvectors of the covariance surrogate T = (1/N) Vs^T Vs (N_y x N_y),
+obtained by Sirovich's method of snapshots: the N x N Gram matrix
+K = (1/N) Vs Vs^T shares T's nonzero eigenvalues, and an eigenpair
+(lambda_j, w_j) of K back-projects to the unit mode Vs^T w_j / sqrt(N lambda_j).
+The raw (unstandardized) pointwise mean of the training outputs is carried
+alongside as the mean function phi0: the standard POD trunk adds it to
+predictions, the modified POD trunk keeps it as an extra basis column.
+
+A mode is kept only if its eigenvalue exceeds ``_RANK_RTOL`` times the
+largest. Past that numerical rank the eigenvectors are round-off, and
+back-projecting them would divide noise by a near-zero sqrt(lambda), so
+those basis columns are exact zeros with eigenvalue 0.0. The basis keeps
+the requested width either way.
 
 Mode signs are normalized (first nonzero entry positive) so results do
 not depend on the eigensolver's sign choices.
@@ -20,6 +28,9 @@ from .errors import DataError
 
 # Relative threshold below which a snapshot's spatial stddev counts as zero.
 _DEGENERATE_TOL = 1e-12
+# Eigenvalues at or below this fraction of the largest are round-off; their
+# modes are dropped. At 1e-6 kept modes stay orthonormal to ~1e-11.
+_RANK_RTOL = 1e-6
 
 
 class PODBasis:
@@ -49,7 +60,9 @@ def compute_pod(v_snapshots: np.ndarray, p: int, y_locations=None) -> PODBasis:
 
     ``p`` modes cover both trunk flavors: the standard trunk uses the
     first p columns, the modified trunk uses phi0 plus the first p-1.
-    Raises DataError for a constant snapshot (zero spatial stddev).
+    Columns past the numerical rank are exactly zero, as are their
+    eigenvalues. Raises DataError for a constant snapshot (zero spatial
+    stddev).
     """
     v = np.asarray(v_snapshots, dtype=np.float64)
     if v.ndim != 2:
@@ -62,14 +75,22 @@ def compute_pod(v_snapshots: np.ndarray, p: int, y_locations=None) -> PODBasis:
         raise ValueError(f"p={p} out of range [1, {min(n, n_y)}]")
 
     v_std = standardize_snapshots(v)
-    t = v_std.T @ v_std / n
-    eigvals, eigvecs = np.linalg.eigh(t)  # ascending
-    order = np.argsort(eigvals)[::-1][:p]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    modes = eigvecs[:, order]
+    k = v_std @ v_std.T / n
+    eigvals, eigvecs = np.linalg.eigh(k)  # ascending
+    eigvals = eigvals[::-1][:p]
+    rank = numerical_rank(eigvals)
+    modes = np.zeros((n_y, p))
+    modes[:, :rank] = v_std.T @ eigvecs[:, ::-1][:, :rank] / np.sqrt(n * eigvals[:rank])
+    eigvals[rank:] = 0.0
     modes = _fix_signs(modes)
     phi0 = v.mean(axis=0)
     return PODBasis(phi0, modes, eigvals, y_locations)
+
+
+def numerical_rank(eigenvalues) -> int:
+    """How many eigenvalues exceed ``_RANK_RTOL`` times the largest."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    return int(np.count_nonzero(lam > _RANK_RTOL * lam.max(initial=0.0)))
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:

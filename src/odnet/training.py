@@ -186,8 +186,7 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
         report.losses.append(epoch_loss)
         report.lrs.append(lr)
         report.epoch_seconds.append(elapsed)
-    if hasattr(model, "parameter_hash"):
-        report.param_hash = model.parameter_hash()
+    report.param_hash = model.parameter_hash()
     return report
 
 

@@ -63,8 +63,8 @@ class VanillaTrunk:
     def weight_tensors(self):
         return self.mlp.weight_tensors()
 
-    def basis_column(self, y, column: int) -> np.ndarray:
-        return self.forward(self.bind(y)).data[:, column].copy()
+    def basis_columns(self, y, columns) -> np.ndarray:
+        return self.forward(self.bind(y)).data[:, columns]
 
 
 class PODRows(NamedTuple):
@@ -133,14 +133,12 @@ class PODTrunk:
     def weight_tensors(self):
         return []
 
-    def basis_column(self, y, column: int) -> np.ndarray:
+    def basis_columns(self, y, columns) -> np.ndarray:
         """Unscaled basis function values (phi0 or an eigenmode)."""
-        rows = self.bind(y).rows
+        table = self.basis.modes
         if self.modified:
-            if column == 0:
-                return self.basis.mean_function[rows].copy()
-            return self.basis.modes[rows, column - 1].copy()
-        return self.basis.modes[rows, column].copy()
+            table = np.column_stack([self.basis.mean_function, table])
+        return table[np.ix_(self.bind(y).rows, columns)]
 
 
 class PoUPatches(NamedTuple):
@@ -205,9 +203,9 @@ class PoUTrunk:
     def weight_tensors(self):
         return [t for e in self.experts for t in e.weight_tensors()]
 
-    def basis_column(self, y, column: int) -> np.ndarray:
-        """One blended column; exactly 0 at points outside every patch."""
-        return self.forward(self.bind(y, strict=False)).data[:, column].copy()
+    def basis_columns(self, y, columns) -> np.ndarray:
+        """Blended columns; exactly 0 at points outside every patch."""
+        return self.forward(self.bind(y, strict=False)).data[:, columns]
 
 
 class Binding(NamedTuple):
@@ -310,20 +308,24 @@ class EnsembleModel:
         return f"{crc:08x}"
 
 
-def export_basis(model: EnsembleModel, y, column_index: int) -> np.ndarray:
-    """Sample one trunk column over ``y`` for inspection/plotting.
+def export_basis(model: EnsembleModel, y, columns) -> np.ndarray:
+    """Sample trunk columns over ``y`` for inspection/plotting: a
+    (B_y, len(columns)) array in the order given. Each member that owns a
+    requested column is bound to ``y`` once.
 
     POD columns are returned unscaled (the raw basis functions); PoU
     columns evaluate to exactly 0 at points no patch covers.
     """
-    column_index = int(column_index)
-    if column_index < 0 or column_index >= model.total_p:
-        raise IndexError(
-            f"column {column_index} out of range [0, {model.total_p})"
-        )
+    columns = np.array([int(c) for c in columns], dtype=np.intp)
+    for c in columns:
+        if c < 0 or c >= model.total_p:
+            raise IndexError(f"column {c} out of range [0, {model.total_p})")
+    y = np.asarray(y, dtype=np.float64)
+    out = np.empty((y.shape[0], columns.size))
     offset = 0
     for m in model.members:
-        if column_index < offset + m.p:
-            return m.basis_column(np.asarray(y, dtype=np.float64), column_index - offset)
+        mine = np.flatnonzero((columns >= offset) & (columns < offset + m.p))
+        if mine.size:
+            out[:, mine] = m.basis_columns(y, columns[mine] - offset)
         offset += m.p
-    raise AssertionError("unreachable")
+    return out

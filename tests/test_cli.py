@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from odnet.checkpoint import load_checkpoint
+from odnet.checkpoint import load_checkpoint, save_checkpoint
 from odnet.cli import main
 from odnet.data import read_dataset
 from odnet.evaluation import evaluate_model
@@ -387,3 +387,15 @@ def test_inspect_both_formats(pod_config, tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "run-seed0.odm")]) == 0
     out = capsys.readouterr().out
     assert "ODM1 checkpoint" in out and "member1.kind=pod" in out
+    # inspect prints the numerical rank the train manifest recorded
+    rank = _manifest_fields(tmp_path / "run-seed0.manifest.txt")["pod_rank.member1"]
+    assert rank == "3/3"
+    assert "  pod_rank.member1=3/3\n" in out
+    # a checkpoint reports the rank of the eigenvalues it stores, such as
+    # the round-off tail of one written by a covariance eigensolver
+    ds = read_dataset(data)
+    model, text, _ = load_checkpoint(str(tmp_path / "run-seed0.odm"), ds)
+    model.members[1].basis.eigenvalues = np.array([1.0e3, 0.119, 7e-13])
+    save_checkpoint(model, text, str(tmp_path / "old.odm"))
+    assert main(["inspect", str(tmp_path / "old.odm")]) == 0
+    assert "  pod_rank.member1=2/3\n" in capsys.readouterr().out

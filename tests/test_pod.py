@@ -1,13 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import odnet
+from odnet.data import RDParams, gen_reaction_diffusion_2d
 from odnet.errors import DataError
 from odnet.pod import (
     PODBasis,
     compute_pod,
+    numerical_rank,
     standardize_snapshots,
     trunk_matrix,
 )
+
+
+def _covariance_pod(v, p):
+    """Reference: eigenpairs of the N_y x N_y covariance surrogate
+    T = (1/N) Vs^T Vs, largest first."""
+    vs = standardize_snapshots(v)
+    eigvals, eigvecs = np.linalg.eigh(vs.T @ vs / vs.shape[0])
+    return eigvals[::-1][:p], eigvecs[:, ::-1][:, :p]
 
 
 def test_opposite_standardized_snapshots_rank_one():
@@ -131,3 +149,102 @@ def test_basis_shape_validation():
         PODBasis(np.zeros(4), np.zeros((5, 2)), np.zeros(2))
     with pytest.raises(DataError):
         PODBasis(np.zeros(5), np.zeros((5, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 24)], ids=["n<n_y", "n>n_y"])
+def test_gram_form_matches_covariance_oracle(shape):
+    # full-rank data (standardized rows span min(n, n_y - 1) dimensions):
+    # the Gram eigenpairs back-projected equal the covariance eigenpairs
+    n, n_y = shape
+    p = min(n, n_y - 1)
+    v = np.random.default_rng(20).normal(size=shape)
+    basis = compute_pod(v, p)
+    ref_vals, ref_modes = _covariance_pod(v, p)
+    assert numerical_rank(basis.eigenvalues) == p
+    np.testing.assert_allclose(basis.eigenvalues, ref_vals, rtol=1e-12, atol=0.0)
+    cos = np.abs(np.sum(basis.modes * ref_modes, axis=0))
+    assert np.max(np.abs(cos - 1.0)) < 1e-12
+
+
+def _rd2d_affine_snapshots():
+    # V_i = A + c0_i B (see test_rd_dataset_affine_oracle): after per-snapshot
+    # standardization the rows span two dimensions
+    return gen_reaction_diffusion_2d(RDParams(n=16, branch_grid=4), 40, seed=2).V
+
+
+@pytest.mark.parametrize("v,rank", [
+    (np.array([[1.0, 2.0, 3.0, 4.0], [8.0, 6.0, 4.0, 2.0]]), 1),
+    (_rd2d_affine_snapshots(), 2),
+], ids=["opposite", "rd2d-affine"])
+def test_columns_past_rank_are_exact_zeros(v, rank):
+    p = min(8, v.shape[0])
+    basis = compute_pod(v, p)
+    assert numerical_rank(basis.eigenvalues) == rank
+    assert np.all(basis.eigenvalues[:rank] > 0.0)
+    assert np.all(basis.eigenvalues[rank:] == 0.0)
+    assert np.all(basis.modes[:, rank:] == 0.0)
+    kept = basis.modes[:, :rank]
+    assert np.max(np.abs(kept.T @ kept - np.eye(rank))) < 1e-10
+    _, ref_modes = _covariance_pod(v, rank)
+    cos = np.abs(np.sum(kept * ref_modes, axis=0))
+    assert np.max(np.abs(cos - 1.0)) < 1e-10
+
+
+def test_numerical_rank_relative_to_largest():
+    assert numerical_rank([4.0, 5e-6, 3e-6, 0.0]) == 2
+    assert numerical_rank(np.array([1e-300, 0.0])) == 1
+    assert numerical_rank(np.zeros(3)) == 0
+    assert numerical_rank(np.zeros(0)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), n_y=st.integers(4, 40),
+       rank=st.integers(1, 6), extra=st.integers(0, 6))
+def test_low_rank_snapshots_property(seed, n, n_y, rank, extra):
+    # V = G B plus a constant per snapshot (removed by standardization) has
+    # rank `rank`; modes past it must be exact zeros
+    assume(rank <= min(n, n_y - 1))
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n_y))
+    v += rng.normal(size=(n, 1))
+    vs = standardize_snapshots(v)
+    sv = np.linalg.svd(vs, compute_uv=False)
+    # well separated from round-off on both sides of the rank
+    assume(sv[rank - 1] > 1e-2 * sv[0])
+    assume(rank == len(sv) or sv[rank] < 1e-10 * sv[0])
+    p = min(rank + extra, n, n_y)
+    basis = compute_pod(v, p)
+    assert numerical_rank(basis.eigenvalues) == rank
+    kept = basis.modes[:, :rank]
+    assert np.max(np.abs(kept.T @ kept - np.eye(rank))) < 1e-10
+    recon = (vs @ kept) @ kept.T
+    assert np.linalg.norm(recon - vs) <= 1e-8 * np.linalg.norm(vs)
+    assert np.all(basis.modes[:, rank:] == 0.0)
+    assert np.all(basis.eigenvalues[rank:] == 0.0)
+
+
+_POD_BYTES_SCRIPT = """
+import hashlib
+from odnet.data import RDParams, gen_reaction_diffusion_2d
+from odnet.pod import compute_pod
+from odnet.runconfig import split_indices
+ds = gen_reaction_diffusion_2d(RDParams(n=16, branch_grid=4), 48, seed=1)
+train_idx, _ = split_indices(ds.n_samples, 8, 0)
+basis = compute_pod(ds.V[train_idx], 8)
+print(hashlib.sha256(basis.modes.tobytes()).hexdigest(),
+      hashlib.sha256(basis.eigenvalues.tobytes()).hexdigest())
+"""
+
+
+def test_pod_bytes_independent_of_blas_threads():
+    # the basis must not depend on how the BLAS splits its work
+    src = str(Path(odnet.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _POD_BYTES_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]

@@ -186,6 +186,9 @@ class _OneParamLinear:
     def zero_grad(self):
         self.w.zero_grad()
 
+    def parameter_hash(self):
+        return self.w.data.tobytes().hex()
+
 
 def test_one_parameter_linear_model_converges():
     rng = np.random.default_rng(2)
@@ -197,6 +200,7 @@ def test_one_parameter_linear_model_converges():
     report = train(model, u, v, y, cfg)
     assert report.losses[-1] < 1e-10
     assert float(model.w.data[0, 0]) == pytest.approx(3.0, abs=1e-5)
+    assert report.param_hash == model.parameter_hash()
     # monotone decrease after burn-in
     tail = report.losses[500:]
     assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))

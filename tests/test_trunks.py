@@ -310,11 +310,11 @@ def test_export_basis_pod_phi0_exact():
     )
     # member columns start after the vanilla block: column 2 is phi0
     np.testing.assert_array_equal(
-        export_basis(model, y_locs, 2), snapshots.mean(axis=0)
+        export_basis(model, y_locs, [2])[:, 0], snapshots.mean(axis=0)
     )
     # vanilla column equals the MLP output component
     np.testing.assert_array_equal(
-        export_basis(model, y_locs, 1), vanilla.forward(y_locs).data[:, 1]
+        export_basis(model, y_locs, [1])[:, 0], vanilla.forward(y_locs).data[:, 1]
     )
 
 
@@ -322,7 +322,7 @@ def test_export_basis_pou_zero_outside_coverage():
     trunk = make_pou(p=3, seed=13)
     model = EnsembleModel([trunk], make_branch(4, 3, seed=14), None)
     y = np.array([[0.1, 0.2], [5.0, 5.0], [-1.5, 0.0]])
-    col = export_basis(model, y, 0)
+    col = export_basis(model, y, [0])[:, 0]
     assert col[1] == 0.0
     assert col[0] != 0.0 and col[2] != 0.0
     # single-active-expert point matches that expert's component
@@ -335,7 +335,36 @@ def test_export_basis_out_of_range():
     member = make_vanilla(p=3)
     model = EnsembleModel([member], make_branch(5, 3), None)
     with pytest.raises(IndexError):
-        export_basis(model, np.zeros((2, 2)), 3)
+        export_basis(model, np.zeros((2, 2)), [0, 3])
+
+
+def test_export_basis_binds_each_member_once(monkeypatch):
+    # columns in any order, repeated, across vanilla + modified POD + PoU:
+    # the same bytes as one column at a time, with one PoU weight matrix
+    import odnet.trunks
+
+    rng = np.random.default_rng(17)
+    snapshots = rng.normal(size=(6, 10)) + 1.5
+    y_locs = rng.uniform(-1, 1, size=(10, 2))
+    members = [
+        make_vanilla(p=2, seed=18),
+        PODTrunk(compute_pod(snapshots, 3, y_locations=y_locs), 3, modified=True),
+        make_pou(p=3, seed=19),
+    ]
+    model = EnsembleModel(members, make_branch(4, 8, seed=20), None)
+    columns = [7, 2, 0, 4, 5, 2, 1, 3, 6]
+    one_by_one = np.stack([export_basis(model, y_locs, [c])[:, 0] for c in columns], axis=1)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pou_weight_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(odnet.trunks, "pou_weight_matrix", counting)
+    together = export_basis(model, y_locs, columns)
+    assert together.shape == (10, len(columns))
+    assert together.tobytes() == one_by_one.tobytes()
+    assert len(calls) == 1
 
 
 def test_checkpointable_parameter_hash_changes():
