@@ -2,8 +2,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odnet.data import (
+    RD_CHUNK_VALUES,
     OperatorDataset,
     RDParams,
     eval_K_profile,
@@ -14,6 +17,7 @@ from odnet.data import (
     write_dataset,
 )
 from odnet.errors import ConfigError, DataError, NumericError, ShapeError
+from odnet.evaluation import vector_field_magnitude
 
 
 # --- antiderivative generator ---
@@ -115,12 +119,26 @@ def test_rd_blowup_detected():
 
 def test_rd_batched_blowup_names_first_sample():
     # without dynamics c stays c0, so exactly the samples above 10 * cap blow
-    # up; 280 lies in the second solver chunk, so the index is global
+    # up; both lie past the first solver chunk, so the index is global
     params = RDParams(nu=0.0, k_on=0.0, k_off=0.0, n=8)
-    c0 = np.full(300, 0.5)
-    c0[[280, 290]] = (25.0, 30.0)
-    with pytest.raises(NumericError, match=r"step 1 .*first sample 280 with c0=25\.0"):
+    chunk = RD_CHUNK_VALUES // (8 * 8)
+    c0 = np.full(chunk + 44, 0.5)
+    c0[[chunk + 24, chunk + 34]] = (25.0, 30.0)
+    with pytest.raises(NumericError, match=rf"step 1 .*first sample {chunk + 24} with c0=25\.0"):
         simulate_rd(params, c0)
+
+
+@pytest.mark.parametrize("c0", [np.inf, -np.inf, np.nan])
+def test_rd_nonfinite_state_is_a_blowup(c0):
+    # |nan| > blow is False, so the check must reject what is not <= blow
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="blew up at step 1"):
+        simulate_rd(RDParams(n=8), c0)
+
+
+def test_rd_nonfinite_blowup_names_first_sample():
+    with (np.errstate(invalid="ignore"),
+          pytest.raises(NumericError, match=r"blew up at step 1 .*first sample 1 with c0=inf")):
+        simulate_rd(RDParams(n=8), np.array([0.5, np.inf, np.nan]))
 
 
 def test_rd_stability_bound_rejected():
@@ -172,6 +190,76 @@ def test_rd_batched_solve_equals_scalar_solves():
         simulate_rd(params, c0.reshape(5, 1))
 
 
+def _reference_rd(params, c0):
+    """The whole batch at once through an np.pad ghost-cell stencil that
+    allocates every intermediate: the operand order the solver must keep."""
+    n = params.n
+    c = np.repeat(c0, n * n).reshape(c0.size, n, n)
+    centers = params.cell_centers_1d()
+    y1, y2 = np.meshgrid(centers, centers, indexing="ij")
+    on_field = np.where(y1 <= params.switch, params.k_on, 0.0)
+    off_field = np.where(y1 <= params.switch, params.k_off, 0.0)
+    dt = params.step_size()
+    steps = int(np.ceil(params.t_final / dt - 1e-12))
+    inv_h2 = 1.0 / (params.h * params.h)
+    cap = params.reaction_cap
+    t = 0.0
+    for _ in range(steps):
+        dt_k = min(dt, params.t_final - t)
+        amb = (1.0 + np.cos(2.0 * np.pi * y1) * np.cos(2.0 * np.pi * y2)) * np.exp(-np.pi * t)
+        padded = np.pad(c, ((0, 0), (1, 1), (1, 1)), mode="edge")
+        lap = (
+            padded[:, :-2, 1:-1] + padded[:, 2:, 1:-1]
+            + padded[:, 1:-1, :-2] + padded[:, 1:-1, 2:]
+            - 4.0 * c
+        ) * inv_h2
+        c = c + dt_k * (on_field * (cap - c) * amb - off_field * c + params.nu * lap)
+        t += dt_k
+    return c
+
+
+def _assert_matches_reference(params, n_samples, seed=0):
+    c0 = np.random.default_rng(seed).uniform(0.0, 1.0, n_samples)
+    got = simulate_rd(params, c0)
+    assert got.shape == (n_samples, params.n, params.n)
+    assert got.tobytes() == _reference_rd(params, c0).tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    *(RDParams(n=n) for n in (4, 5, 9, 12, 16, 64)),
+    RDParams(n=8, dt=0.003, t_final=0.37),  # truncated last step
+    RDParams(n=8, nu=0.0),
+    RDParams(n=8, switch=-1.0),
+    RDParams(n=8, switch=5.0),
+    RDParams(n=8, k_on=1.7, k_off=0.3, reaction_cap=1.9),  # x 2.0 is exact: k_on = 2 hides order
+], ids=["n4", "n5", "n9", "n12", "n16", "n64", "truncated", "nu0",
+        "switch-below", "switch-above", "rates"])
+@pytest.mark.parametrize("n_samples", [0, 1, 31, 32, 33, 67])
+def test_rd_solver_bytes_match_pad_stencil(params, n_samples):
+    _assert_matches_reference(params, n_samples)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_rd_solver_bytes_match_pad_stencil_at_chunk_edges(n):
+    chunk = RD_CHUNK_VALUES // (n * n)
+    for n_samples in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        _assert_matches_reference(RDParams(n=n), n_samples, seed=n_samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), nu=st.sampled_from([0.0, 0.01, 0.05, 0.1]),
+       t_final=st.floats(0.01, 0.6), dt_frac=st.one_of(st.none(), st.floats(0.5, 1.0)),
+       k_on=st.floats(0.0, 3.0), switch=st.floats(-0.5, 2.5),
+       n_samples=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+def test_rd_solver_bytes_match_pad_stencil_property(n, nu, t_final, dt_frac, k_on, switch,
+                                                    n_samples, seed):
+    # from n = 21 on a chunk holds fewer than 80 samples, so counts cross chunks
+    base = RDParams(n=n, nu=nu, t_final=t_final)
+    dt = None if dt_frac is None else dt_frac * min(base.stability_bound(), t_final)
+    params = RDParams(n=n, nu=nu, t_final=t_final, dt=dt, k_on=k_on, switch=switch)
+    _assert_matches_reference(params, n_samples, seed)
+
+
 @pytest.mark.parametrize("params,n_samples,seed,crc_v,crc_u", [
     (RDParams(n=8, branch_grid=4), 12, 0, 0x0B54C2AF, 0x1AB159FC),
     (RDParams(), 240, 1, 0x29DAACCC, 0x2E723E95),
@@ -198,6 +286,15 @@ def test_k_profile_saturates():
     assert abs(eval_K_profile(-60.0) - left) < 1e-12
     assert abs(eval_K_profile(60.0) - right) < 1e-12
     assert np.isfinite(left) and np.isfinite(right)
+
+
+def test_scalar_targets_is_the_vector_field_magnitude():
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(3, 6, 3))
+    ds = OperatorDataset("vec", rng.normal(size=(4, 2)), rng.normal(size=(6, 2)),
+                         rng.normal(size=(3, 4)), V, {})
+    assert ds.scalar_targets().tobytes() == vector_field_magnitude(V).tobytes()
+    assert np.allclose(ds.scalar_targets(), np.linalg.norm(V, axis=2), rtol=1e-15)
 
 
 # --- ODN1 round trip ---
