@@ -13,7 +13,6 @@ from .autodiff import Tape, Tensor
 from .data import (
     OperatorDataset,
     RDParams,
-    eval_K_profile,
     gen_antiderivative,
     gen_reaction_diffusion_2d,
     read_dataset,
@@ -46,13 +45,12 @@ from .partition import (
 )
 from .pod import PODBasis, compute_pod
 from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk, export_basis
-from .training import Adam, AdamW, TrainConfig, TrainReport, inverse_time_lr, mse_loss, train
+from .training import Adam, TrainConfig, TrainReport, inverse_time_lr, mse_loss, train
 from .checkpoint import load_checkpoint, save_checkpoint
 from .runconfig import RunConfig, build_model, generate_dataset, parse_config, split_indices
 
 __all__ = [
     "Adam",
-    "AdamW",
     "ConfigError",
     "CoverageError",
     "DataError",
@@ -79,7 +77,6 @@ __all__ = [
     "build_model",
     "compute_pod",
     "coverage_check",
-    "eval_K_profile",
     "evaluate_model",
     "export_basis",
     "gen_antiderivative",

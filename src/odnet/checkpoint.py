@@ -1,13 +1,11 @@
 """ODM1 model checkpoints.
 
-Layout, little-endian, CRC-protected like ODN1:
-    8 bytes  magic "ODNMDL01"
-    u32      version = 1
-    u32+utf8 run configuration text
-    u32+utf8 attributes text (key=value lines: member kinds, dims, seed, ...)
+The file is sealed like ODN1 (see ``data``): magic "ODNMDL01", u32
+version = 1, these fields, then the CRC32 of all prior bytes.
+    text     run configuration
+    text     attributes, "key=value" lines: member kinds, dims, seed, ...
     u32      array count, then per array:
-                 u32+utf8 name, u32 ndim, u32 dims..., f64 data
-    u32      CRC32 of all prior bytes
+                 text name, u32 ndim, u32 dims (one 1 for a scalar), f64 data
 
 All trainable tensors, patch geometry, and POD arrays are stored, so a
 loaded model reproduces predictions bit-exactly. POD members additionally
@@ -17,13 +15,12 @@ the stored CRC32 reference hash, since modes only exist on that grid.
 
 from __future__ import annotations
 
-import struct
 import zlib
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import OperatorDataset
+from .data import OperatorDataset, _SealedReader, _SealedWriter
 from .errors import DataError
 from .networks import MLP, MLPConfig
 from .partition import Patch, PatchSet
@@ -55,13 +52,12 @@ def collect_state(model: EnsembleModel):
     arrays = {}
     for i, member in enumerate(model.members):
         key = f"member{i}"
+        attrs[f"{key}.p"] = str(member.p)
         if isinstance(member, VanillaTrunk):
             attrs[f"{key}.kind"] = "vanilla"
-            attrs[f"{key}.p"] = str(member.p)
             _mlp_arrays(key, member.mlp, arrays)
         elif isinstance(member, PODTrunk):
             attrs[f"{key}.kind"] = "pod"
-            attrs[f"{key}.p"] = str(member.p)
             attrs[f"{key}.modified"] = "1" if member.modified else "0"
             attrs[f"{key}.y_crc"] = str(_y_crc(member.basis.y_locations))
             arrays[f"{key}.pod.phi0"] = member.basis.mean_function
@@ -69,7 +65,6 @@ def collect_state(model: EnsembleModel):
             arrays[f"{key}.pod.eigenvalues"] = member.basis.eigenvalues
         elif isinstance(member, PoUTrunk):
             attrs[f"{key}.kind"] = "pou"
-            attrs[f"{key}.p"] = str(member.p)
             attrs[f"{key}.delta"] = repr(member.patchset.delta)
             arrays[f"{key}.patch_centers"] = member.patchset.centers
             arrays[f"{key}.patch_radii"] = member.patchset.radii
@@ -95,85 +90,28 @@ def pod_ranks(arrays: dict) -> dict:
 def save_checkpoint(model: EnsembleModel, config_text: str, path, seed: int = 0):
     attrs, arrays = collect_state(model)
     attrs["seed"] = str(int(seed))
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    cbytes = config_text.encode("utf-8")
-    parts.append(struct.pack("<I", len(cbytes)))
-    parts.append(cbytes)
-    abytes = "".join(f"{k}={attrs[k]}\n" for k in sorted(attrs)).encode("utf-8")
-    parts.append(struct.pack("<I", len(abytes)))
-    parts.append(abytes)
-    parts.append(struct.pack("<I", len(arrays)))
+    w = _SealedWriter(MAGIC, FORMAT_VERSION)
+    w.text(config_text)
+    w.kv(attrs)
+    w.u32(len(arrays))
     for name in sorted(arrays):
         arr = np.asarray(arrays[name], dtype="<f8")
-        if arr.ndim > 0:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-        nbytes = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(nbytes)))
-        parts.append(nbytes)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{max(arr.ndim, 1)}I", *(arr.shape or (1,))))
-        parts.append(arr.tobytes())
-    blob = b"".join(parts)
-    crc = zlib.crc32(blob) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", crc))
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.path = path
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise DataError(f"{self.path}: truncated ODM1 file")
-        out = self.blob[self.offset: self.offset + n]
-        self.offset += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        w.text(name)
+        w.u32(arr.ndim, *(arr.shape or (1,)))
+        w.f64(arr)
+    w.save(path)
 
 
 def read_checkpoint_raw(path):
     """(config_text, attrs dict, arrays dict) after CRC verification."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: bad magic, not an ODM1 checkpoint")
-    if len(blob) < len(MAGIC) + 8:
-        raise DataError(f"{path}: truncated ODM1 file ({len(blob)} bytes)")
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise DataError(f"{path}: CRC32 mismatch, file is corrupted")
-    r = _Reader(blob[:-4], path)
-    r.take(len(MAGIC))
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported ODM1 version {version}")
+    r = _SealedReader(path, MAGIC, FORMAT_VERSION, "ODM1", "checkpoint")
     config_text = r.text()
-    attrs = {}
-    for line in r.text().splitlines():
-        if line:
-            k, _, v = line.partition("=")
-            attrs[k] = v
+    attrs = r.kv()
     arrays = {}
     for _ in range(r.u32()):
-        name = r.text()
-        ndim = r.u32()
-        shape = struct.unpack(f"<{max(ndim, 1)}I", r.take(4 * max(ndim, 1)))
-        if ndim == 0:
-            shape = ()
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").astype(np.float64)
-        arrays[name] = arr.reshape(shape)
-    if r.offset != len(r.blob):
-        raise DataError(f"{path}: trailing bytes after array block")
+        name, ndim = r.text(), r.u32()
+        arrays[name] = r.f64(r.u32(max(ndim, 1))[:ndim])  # a scalar stores one dim, 1
+    r.end()
     return config_text, attrs, arrays
 
 
@@ -195,59 +133,60 @@ def load_checkpoint(path, dataset: OperatorDataset | None = None):
     """Rebuild the model; returns (model, config_text, attrs).
 
     ``dataset`` is required when the checkpoint contains a POD member and
-    its Y locations must hash-match the stored reference.
+    its Y locations must hash-match the stored reference. A missing or
+    unreadable attribute or array raises DataError.
     """
     from .runconfig import parse_config
 
     config_text, attrs, arrays = read_checkpoint_raw(path)
     cfg = parse_config(config_text)
-    n_members = int(attrs["n_members"])
-    members = []
-    for i in range(n_members):
-        key = f"member{i}"
-        kind = attrs[f"{key}.kind"]
-        p = int(attrs[f"{key}.p"])
-        if kind == "vanilla":
-            members.append(VanillaTrunk(
-                _mlp_from_arrays(key, arrays, cfg.activation, activate_last=True)
-            ))
-        elif kind == "pod":
-            if dataset is None:
-                raise DataError(
-                    "checkpoint contains a POD trunk; a dataset is required to "
-                    "attach its output locations"
-                )
-            stored = int(attrs[f"{key}.y_crc"])
-            if _y_crc(dataset.Y) != stored:
-                raise DataError(
-                    "dataset output locations Y do not match the checkpoint's "
-                    "POD reference hash"
-                )
-            basis = PODBasis(
-                arrays[f"{key}.pod.phi0"],
-                arrays[f"{key}.pod.modes"],
-                arrays[f"{key}.pod.eigenvalues"],
-                y_locations=dataset.Y,
-            )
-            members.append(PODTrunk(basis, p, attrs[f"{key}.modified"] == "1"))
-        elif kind == "pou":
-            centers = arrays[f"{key}.patch_centers"]
-            radii = arrays[f"{key}.patch_radii"]
-            ps = PatchSet(
-                [Patch(c, r) for c, r in zip(centers, radii)],
-                delta=float(attrs[f"{key}.delta"]),
-            )
-            experts = []
-            for k in range(len(ps)):
-                experts.append(_mlp_from_arrays(
-                    f"{key}.expert{k}", arrays, cfg.activation, activate_last=True
+    try:
+        n_members = int(attrs["n_members"])
+        members = []
+        for i in range(n_members):
+            key = f"member{i}"
+            kind = attrs[f"{key}.kind"]
+            p = int(attrs[f"{key}.p"])
+            if kind == "vanilla":
+                members.append(VanillaTrunk(
+                    _mlp_from_arrays(key, arrays, cfg.activation, activate_last=True)
                 ))
-            members.append(PoUTrunk(ps, experts, p))
-        else:
-            raise DataError(f"{path}: unknown member kind {kind!r}")
-    branch = _mlp_from_arrays("branch", arrays, cfg.activation, activate_last=False)
-    bias = None
-    if attrs.get("bias_present") == "1":
-        bias = ad.Tensor(arrays["bias"], requires_grad=True)
-    model = EnsembleModel(members, branch, bias)
+            elif kind == "pod":
+                if dataset is None:
+                    raise DataError(
+                        "checkpoint contains a POD trunk; a dataset is required to "
+                        "attach its output locations"
+                    )
+                stored = int(attrs[f"{key}.y_crc"])
+                if _y_crc(dataset.Y) != stored:
+                    raise DataError(
+                        "dataset output locations Y do not match the checkpoint's "
+                        "POD reference hash"
+                    )
+                basis = PODBasis(
+                    arrays[f"{key}.pod.phi0"],
+                    arrays[f"{key}.pod.modes"],
+                    arrays[f"{key}.pod.eigenvalues"],
+                    y_locations=dataset.Y,
+                )
+                members.append(PODTrunk(basis, p, attrs[f"{key}.modified"] == "1"))
+            elif kind == "pou":
+                centers = arrays[f"{key}.patch_centers"]
+                radii = arrays[f"{key}.patch_radii"]
+                ps = PatchSet(
+                    [Patch(c, r) for c, r in zip(centers, radii)],
+                    delta=float(attrs[f"{key}.delta"]),
+                )
+                experts = [_mlp_from_arrays(f"{key}.expert{k}", arrays, cfg.activation,
+                                            activate_last=True) for k in range(len(ps))]
+                members.append(PoUTrunk(ps, experts, p))
+            else:
+                raise DataError(f"{path}: unknown member kind {kind!r}")
+        branch = _mlp_from_arrays("branch", arrays, cfg.activation, activate_last=False)
+        bias = None
+        if attrs.get("bias_present") == "1":
+            bias = ad.Tensor(arrays["bias"], requires_grad=True)
+        model = EnsembleModel(members, branch, bias)
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{path}: checkpoint field missing or unreadable: {exc!r}") from None
     return model, config_text, attrs

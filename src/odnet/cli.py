@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkpoint import (collect_state, load_checkpoint, pod_ranks, read_checkpoint_raw,
-                         save_checkpoint)
-from .data import read_dataset, stored_crc, write_dataset
+from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, pod_ranks,
+                         read_checkpoint_raw, save_checkpoint)
+from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
 from .evaluation import evaluate_model
 from .runconfig import build_model, generate_dataset, parse_config, split_indices
@@ -183,15 +183,15 @@ def cmd_export_basis(args) -> int:
 
 def cmd_inspect(args) -> int:
     with open(args.path, "rb") as fh:
-        magic = fh.read(8)
-    if magic == b"ODNSET01":
+        magic = fh.read(len(ODN1_MAGIC))
+    if magic == ODN1_MAGIC:
         ds = read_dataset(args.path)
         print(f"ODN1 dataset: N={ds.n_samples} N_x={ds.n_x} N_y={ds.n_y} "
               f"d_u={ds.d_u} d_v={ds.d_v} c={ds.n_components}")
         for k in sorted(ds.metadata):
             print(f"  {k}={ds.metadata[k]}")
         return 0
-    if magic == b"ODNMDL01":
+    if magic == ODM1_MAGIC:
         config_text, attrs, arrays = read_checkpoint_raw(args.path)
         print(f"ODM1 checkpoint: {len(arrays)} arrays")
         for k in sorted(attrs):

@@ -1,4 +1,4 @@
-"""Desk-scale dataset generation and the ODN1 dataset file format.
+"""Desk-scale dataset generation and the sealed ODN1/ODM1 file format.
 
 Built-in generators: a 1D antiderivative operator (analytic, for sanity
 runs) and a 2D reaction-diffusion problem with a spatially discontinuous
@@ -15,16 +15,18 @@ sample over the limit at the earliest step of the first chunk that blows
 up. Externally produced datasets (e.g. Darcy, cavity flow) are loaded
 through the same file format; they are never synthesized here.
 
-ODN1 layout, all little-endian:
-    8 bytes   magic "ODNSET01"
-    7 x u32   version=1, d_u, d_v, N_x, N_y, N, c
+ODN1 datasets and ODM1 checkpoints share one sealed framing, read and
+written here: an 8-byte magic and a u32 version, then fields (u32s,
+u32-length-prefixed UTF-8 text, f64 arrays), then the CRC32 of all prior
+bytes, all little-endian. ODN1's fields are:
+    6 x u32   d_u, d_v, N_x, N_y, N, c
     f64[]     X (N_x x d_u), Y (N_y x d_v), U (N x N_x), V (N x N_y x c)
-    u32 + bytes   metadata length, UTF-8 "key=value" lines
-    u32       CRC32 of all prior bytes
+    text      metadata, "key=value" lines
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -251,10 +253,12 @@ def simulate_rd(params: RDParams, c0) -> np.ndarray:
     chunk = max(1, RD_CHUNK_VALUES // (n * n))
     schedule = _rd_schedule(params)
     scratch = np.empty((3, min(chunk, flat.size), n, n))
-    for start in range(0, flat.size, chunk):
-        c0_chunk = flat[start:start + chunk]
-        _solve_rd(params, c0_chunk, out[start:start + chunk], scratch[:, :c0_chunk.size],
-                  schedule, start)
+    # a non-finite or blowing-up state is reported by NumericError alone
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, flat.size, chunk):
+            c0_chunk = flat[start:start + chunk]
+            _solve_rd(params, c0_chunk, out[start:start + chunk],
+                      scratch[:, :c0_chunk.size], schedule, start)
     return out.reshape(c0.shape + (n, n))
 
 
@@ -357,56 +361,107 @@ def gen_reaction_diffusion_2d(params: RDParams, n_samples: int, seed: int = 0) -
     return OperatorDataset("rd2d", big_x, big_y, u, v, meta)
 
 
-def eval_K_profile(y1):
-    """Sharp-gradient diffusion-coefficient profile used by the 3D problem
-    (exposed as a pure function; the 3D solver itself is out of scope)."""
-    a, b, c = 9.0, 0.0215, 0.005
-    y1 = np.asarray(y1, dtype=np.float64)
-    val = b + (c / np.tanh(a)) * (
-        (a - 3.0) * np.tanh(8.0 * y1 - 5.0)
-        - (a - 15.0) * np.tanh(8.0 * y1 + 5.0)
-        + a * np.tanh(a)
-    )
-    if val.ndim == 0:
-        return float(val)
-    return val
+class _SealedWriter:
+    """Collects a sealed file's fields; ``save`` adds the CRC32 trailer."""
+
+    def __init__(self, magic: bytes, version: int):
+        self._parts = [magic]
+        self.u32(version)
+
+    def u32(self, *values: int):
+        self._parts.append(struct.pack(f"<{len(values)}I", *values))
+
+    def text(self, text: str):
+        raw = text.encode("utf-8")
+        self.u32(len(raw))
+        self._parts.append(raw)
+
+    def f64(self, arr):
+        self._parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+    def kv(self, pairs: dict):
+        """A text field of sorted ``key=value`` lines."""
+        lines = []
+        for key in sorted(pairs):
+            k, v = str(key), str(pairs[key])
+            if "=" in k or "\n" in k or "\n" in v:
+                raise DataError(f"key/value not encodable as a line: {k!r}")
+            lines.append(f"{k}={v}\n")
+        self.text("".join(lines))
+
+    def save(self, path):
+        blob = b"".join(self._parts)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+            fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
-def _metadata_text(metadata: dict) -> str:
-    lines = []
-    for key in sorted(metadata):
-        k, v = str(key), str(metadata[key])
-        if "=" in k or "\n" in k or "\n" in v:
-            raise DataError(f"metadata key/value not encodable: {k!r}")
-        lines.append(f"{k}={v}\n")
-    return "".join(lines)
+class _SealedReader:
+    """Reads a sealed file's fields in order once its magic, CRC32 and
+    version check out; any misfit raises DataError. Arrays are copied
+    once, out of a memoryview of the file."""
+
+    def __init__(self, path, magic: bytes, version: int, fmt: str, kind: str):
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        self.path, self.fmt = path, fmt
+        if blob[:len(magic)] != magic:
+            raise DataError(f"{path}: bad magic, not an {fmt} {kind}")
+        if len(blob) < len(magic) + 8:
+            raise DataError(f"{path}: truncated {fmt} file ({len(blob)} bytes)")
+        self._view = memoryview(blob)[:-4]
+        if zlib.crc32(self._view) != int.from_bytes(blob[-4:], "little"):
+            raise DataError(f"{path}: CRC32 mismatch, file is corrupted")
+        self._at = len(magic)
+        found = self.u32()
+        if found != version:
+            raise DataError(f"{path}: unsupported {fmt} version {found}")
+
+    def _take(self, n: int) -> memoryview:
+        if self._at + n > len(self._view):
+            raise DataError(f"{self.path}: truncated {self.fmt} file")
+        self._at += n
+        return self._view[self._at - n:self._at]
+
+    def u32(self, count: int = 0):
+        """One u32, or a tuple of ``count`` of them."""
+        values = struct.unpack(f"<{max(count, 1)}I", self._take(4 * max(count, 1)))
+        return values if count else values[0]
+
+    def text(self) -> str:
+        try:
+            return str(self._take(self.u32()), "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.path}: an {self.fmt} text field is not UTF-8") from None
+
+    def f64(self, shape) -> np.ndarray:
+        raw = self._take(8 * math.prod(shape))
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+    def kv(self) -> dict:
+        # split on "\n" alone, the one terminator the writer bars from values
+        return dict(line.partition("=")[::2] for line in self.text().split("\n") if line)
+
+    def end(self):
+        if self._at != len(self._view):
+            raise DataError(f"{self.path}: {len(self._view) - self._at} bytes after "
+                            f"the last {self.fmt} field")
 
 
 def write_dataset(ds: OperatorDataset, path):
     """Write ODN1; bit-exact float64 round-trip, CRC-protected."""
     ds.validate()
-    c = ds.n_components
-    parts = [MAGIC]
-    parts.append(struct.pack(
-        "<7I", FORMAT_VERSION, ds.d_u, ds.d_v, ds.n_x, ds.n_y, ds.n_samples, c
-    ))
+    w = _SealedWriter(MAGIC, FORMAT_VERSION)
+    w.u32(ds.d_u, ds.d_v, ds.n_x, ds.n_y, ds.n_samples, ds.n_components)
     for arr in (ds.X, ds.Y, ds.U, ds.V):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    meta = dict(ds.metadata)
-    meta.setdefault("name", ds.name)
-    mbytes = _metadata_text(meta).encode("utf-8")
-    parts.append(struct.pack("<I", len(mbytes)))
-    parts.append(mbytes)
-    blob = b"".join(parts)
-    crc = zlib.crc32(blob) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", crc))
+        w.f64(arr)
+    w.kv({"name": ds.name, **ds.metadata})
+    w.save(path)
 
 
 def stored_crc(path) -> int:
-    """The CRC32 an ODN1 file stores over all its prior bytes (its last
-    four bytes); read_dataset verifies it."""
+    """The CRC32 a sealed (ODN1 or ODM1) file stores over all its prior
+    bytes (its last four bytes); the readers verify it."""
     with open(path, "rb") as fh:
         fh.seek(-4, os.SEEK_END)
         return struct.unpack("<I", fh.read(4))[0]
@@ -414,45 +469,10 @@ def stored_crc(path) -> int:
 
 def read_dataset(path) -> OperatorDataset:
     """Read ODN1, verifying magic, version, lengths, and checksum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = len(MAGIC) + 7 * 4
-    if len(blob) < header + 4 + 4:
-        raise DataError(f"{path}: truncated ODN1 file ({len(blob)} bytes)")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: bad magic, not an ODN1 dataset")
-    version, d_u, d_v, n_x, n_y, n, c = struct.unpack_from("<7I", blob, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported ODN1 version {version}")
-    counts = (n_x * d_u, n_y * d_v, n * n_x, n * n_y * c)
-    arrays_bytes = 8 * sum(counts)
-    meta_len_at = header + arrays_bytes
-    if len(blob) < meta_len_at + 4:
-        raise DataError(f"{path}: truncated ODN1 file (array block incomplete)")
-    (meta_len,) = struct.unpack_from("<I", blob, meta_len_at)
-    total = meta_len_at + 4 + meta_len + 4
-    if len(blob) != total:
-        raise DataError(
-            f"{path}: length mismatch ({len(blob)} bytes, header implies {total})"
-        )
-    (stored_crc,) = struct.unpack_from("<I", blob, total - 4)
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise DataError(f"{path}: CRC32 mismatch, file is corrupted")
-    offset = header
-    arrays = []
-    shapes = ((n_x, d_u), (n_y, d_v), (n, n_x), (n, n_y, c))
-    for count, shape in zip(counts, shapes):
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        offset += 8 * count
-    x, y, u, v = arrays
-    if c == 1:
-        v = v.reshape(n, n_y)
-    meta_text = blob[meta_len_at + 4: meta_len_at + 4 + meta_len].decode("utf-8")
-    metadata = {}
-    for line in meta_text.splitlines():
-        if line:
-            k, _, val = line.partition("=")
-            metadata[k] = val
-    name = metadata.get("name", "dataset")
-    return OperatorDataset(name, x, y, u, v, metadata)
+    r = _SealedReader(path, MAGIC, FORMAT_VERSION, "ODN1", "dataset")
+    d_u, d_v, n_x, n_y, n, c = r.u32(6)
+    x, y, u = r.f64((n_x, d_u)), r.f64((n_y, d_v)), r.f64((n, n_x))
+    v = r.f64((n, n_y) if c == 1 else (n, n_y, c))
+    metadata = r.kv()
+    r.end()
+    return OperatorDataset(metadata.get("name", "dataset"), x, y, u, v, metadata)

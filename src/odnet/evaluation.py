@@ -107,11 +107,10 @@ def evaluate_model(model, u_samples, v_targets, y_locations,
 
     ``y_locations`` is the locations or a binding of them made by
     ``model.bind``, so repeated calls at fixed locations can bind once.
-    Vector-valued targets are reduced to pointwise magnitudes first.
+    ``v_targets`` is (N, N_y): pass a vector field's magnitudes, as
+    ``OperatorDataset.scalar_targets`` gives them.
     """
     v = np.asarray(v_targets, dtype=np.float64)
-    if v.ndim == 3:
-        v = vector_field_magnitude(v)
     start = time.perf_counter()
     preds = model.predict(u_samples, y_locations).data
     elapsed = time.perf_counter() - start

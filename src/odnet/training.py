@@ -1,4 +1,4 @@
-"""Loss, Adam/AdamW updates, the inverse-time schedule, and the training loop.
+"""Loss, the Adam update, the inverse-time schedule, and the training loop.
 
 Training is full-batch by default (desk-scale datasets are small); set
 ``batch_size`` for mini-batching over function indices. POD trunk members
@@ -83,22 +83,28 @@ def inverse_time_lr(lr0: float, gamma: float, step_interval: int, step: int) -> 
 
 
 class Adam:
-    """Adam with bias correction; state tensors match parameter shapes."""
+    """Adam with bias correction; state tensors match parameter shapes. A
+    nonzero ``weight_decay`` makes it AdamW: each step also subtracts
+    ``lr * weight_decay * p`` from each p in ``decay_params`` (the weights)."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 weight_decay: float = 0.0, decay_params=()):
         self.params = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
+        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        decayed = list(decay_params) if weight_decay != 0.0 else []
+        self._decay = [any(p is q for q in decayed) for p in self.params]
 
     def step(self, lr: float):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, m, v, decay in zip(self.params, self._m, self._v, self._decay):
             g = p.grad
             if g is None:
                 continue
@@ -109,35 +115,14 @@ class Adam:
             m_hat = m / bc1
             v_hat = v / bc2
             step = lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            step += self._decay_term(p, lr)
+            if decay:
+                step += lr * self.weight_decay * p.data
             p.data -= step
-
-    def _decay_term(self, p, lr):
-        return 0.0
-
-
-class AdamW(Adam):
-    """Adam plus decoupled weight decay, applied to weights but not biases."""
-
-    def __init__(self, params, weight_decay: float = 1e-4, decay_params=(), **kwargs):
-        super().__init__(params, **kwargs)
-        self.weight_decay = weight_decay
-        self._decay_ids = {id(p) for p in decay_params}
-
-    def _decay_term(self, p, lr):
-        if id(p) in self._decay_ids and self.weight_decay != 0.0:
-            return lr * self.weight_decay * p.data
-        return 0.0
 
 
 def make_optimizer(model, cfg: TrainConfig):
-    if cfg.optimizer == "adamw":
-        return AdamW(
-            model.parameters(),
-            weight_decay=cfg.weight_decay,
-            decay_params=model.weight_tensors(),
-        )
-    return Adam(model.parameters())
+    decay = cfg.weight_decay if cfg.optimizer == "adamw" else 0.0
+    return Adam(model.parameters(), weight_decay=decay, decay_params=model.weight_tensors())
 
 
 def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainReport:

@@ -399,3 +399,49 @@ def test_inspect_both_formats(pod_config, tmp_path, capsys):
     save_checkpoint(model, text, str(tmp_path / "old.odm"))
     assert main(["inspect", str(tmp_path / "old.odm")]) == 0
     assert "  pod_rank.member1=2/3\n" in capsys.readouterr().out
+
+
+# --- malformed files that pass their CRC32 exit 3, without a traceback ---
+
+@pytest.fixture
+def anti_run(anti_config, tmp_path):
+    """A dataset and a one-epoch checkpoint trained on it."""
+    data = str(tmp_path / "anti.odn")
+    main(["gen", anti_config, "--out", data])
+    main(["train", anti_config, data, "--out", str(tmp_path / "run"), "--epochs", "1"])
+    return data, tmp_path / "run-seed0.odm"
+
+
+def _resealed(path, blob: bytes) -> str:
+    """Writes ``blob`` under a fresh CRC32 trailer in place of its last 4 bytes."""
+    body = blob[:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    return str(path)
+
+
+def _exits_data_error(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_non_utf8_odn1_metadata_exits_3(anti_run, tmp_path, capsys):
+    blob = open(anti_run[0], "rb").read()
+    bad = _resealed(tmp_path / "bad.odn", blob[:-5] + b"\xff" + blob[-4:])  # its last "\n"
+    _exits_data_error(["inspect", bad], capsys)
+
+
+def test_odm1_without_n_members_exits_3(anti_run, tmp_path, capsys):
+    data, ckpt = anti_run
+    blob = ckpt.read_bytes()
+    assert b"\nn_members=" in blob
+    bad = _resealed(tmp_path / "bad.odm", blob.replace(b"\nn_members=", b"\nn_xembers="))
+    _exits_data_error(["eval", bad, data], capsys)
+
+
+def test_odm1_huge_array_shape_exits_3(anti_run, tmp_path, capsys):
+    blob = bytearray(anti_run[1].read_bytes())
+    dims_at = blob.index(b"branch.layer0.weight") + len(b"branch.layer0.weight") + 4
+    assert struct.unpack_from("<I", blob, dims_at - 4) == (2,)
+    struct.pack_into("<2I", blob, dims_at, 2**32 - 1, 2**32 - 1)
+    _exits_data_error(["inspect", _resealed(tmp_path / "bad.odm", bytes(blob))], capsys)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from odnet.checkpoint import load_checkpoint, read_checkpoint_raw, save_checkpoint
-from odnet.data import gen_antiderivative, RDParams, gen_reaction_diffusion_2d
+from odnet.data import (gen_antiderivative, RDParams, gen_reaction_diffusion_2d, stored_crc,
+                        write_dataset)
 from odnet.errors import ConfigError, CoverageError, DataError
-from odnet.runconfig import build_model, parse_config, split_indices
+from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
+from test_format_fuzz import CFG as FUZZ_CFG
 from odnet.trunks import PODTrunk, PoUTrunk, VanillaTrunk
 
 GOOD = """
@@ -322,3 +324,16 @@ def test_checkpoint_raw_readback(tmp_path):
     assert attrs["member1.kind"] == "pod"
     assert "branch.layer0.weight" in arrays
     assert "bias" in arrays and arrays["bias"].shape == ()
+
+
+def test_writers_golden_bytes(tmp_path):
+    # the files both writers make from the format fuzz fixture, pinned by
+    # the CRC32 they store: a file ending in its own CRC32 always hashes to
+    # the same residue, so the CRC of the whole file would pin nothing
+    cfg = parse_config(FUZZ_CFG)
+    ds = generate_dataset(cfg.data)
+    odn, odm = tmp_path / "d.odn", tmp_path / "m.odm"
+    write_dataset(ds, odn)
+    save_checkpoint(build_model(cfg, ds, np.arange(4), seed=0), cfg.text, odm, seed=0)
+    assert (odn.stat().st_size, f"{stored_crc(odn):08x}") == (1009, "073b3b94")
+    assert (odm.stat().st_size, f"{stored_crc(odm):08x}") == (1670, "87f31078")

@@ -1,3 +1,4 @@
+import dataclasses
 import zlib
 
 import numpy as np
@@ -9,7 +10,6 @@ from odnet.data import (
     RD_CHUNK_VALUES,
     OperatorDataset,
     RDParams,
-    eval_K_profile,
     gen_antiderivative,
     gen_reaction_diffusion_2d,
     read_dataset,
@@ -82,12 +82,22 @@ def test_rd_no_dynamics_is_identity():
 
 
 def test_rd_diffusion_conserves_mean():
-    params = RDParams(nu=0.1, k_on=0.0, k_off=0.0, n=24)
-    rng = np.random.default_rng(0)
-    # perturbed IC via one reaction-free warm start: use constant + checkmark
-    c0 = 0.6
-    c = simulate_rd(params, c0)
-    assert abs(c.mean() - c0) < 1e-10
+    # one step from a non-constant state: the total changes by the
+    # reaction alone, so the diffusion fluxes across cell edges balance.
+    # The reaction is on everywhere and the ambient's cosines span no whole
+    # period on [0.1, 1.8], so a wrong flux at any one edge shows in the sum
+    params = RDParams(n=24, dt=0.01, lo=0.1, hi=1.8, switch=2.0)
+    c1 = simulate_rd(dataclasses.replace(params, t_final=params.dt), 0.6)
+    c2 = simulate_rd(dataclasses.replace(params, t_final=2 * params.dt), 0.6)
+    centers = params.cell_centers_1d()
+    y1, y2 = np.meshgrid(centers, centers, indexing="ij")
+    amb = (1.0 + np.cos(2 * np.pi * y1) * np.cos(2 * np.pi * y2)) * np.exp(-np.pi * params.dt)
+    # the reaction at t = dt, switched off where y1 > switch
+    reaction = params.k_on * (params.reaction_cap - c1) * amb - params.k_off * c1
+    reaction[y1 > params.switch] = 0.0
+    # c1 is not a fixed point of diffusion: it moves the cells by 0.57 in total
+    assert np.abs((c2 - c1) - params.dt * reaction).sum() > 0.1
+    assert abs(c2.sum() - c1.sum() - params.dt * reaction.sum()) < 1e-12
 
 
 def test_rd_second_order_refinement():
@@ -128,16 +138,18 @@ def test_rd_batched_blowup_names_first_sample():
         simulate_rd(params, c0)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("c0", [np.inf, -np.inf, np.nan])
 def test_rd_nonfinite_state_is_a_blowup(c0):
-    # |nan| > blow is False, so the check must reject what is not <= blow
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="blew up at step 1"):
+    # |nan| > blow is False, so the check must reject what is not <= blow;
+    # the error comes without a RuntimeWarning ahead of it
+    with pytest.raises(NumericError, match="blew up at step 1"):
         simulate_rd(RDParams(n=8), c0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_rd_nonfinite_blowup_names_first_sample():
-    with (np.errstate(invalid="ignore"),
-          pytest.raises(NumericError, match=r"blew up at step 1 .*first sample 1 with c0=inf")):
+    with pytest.raises(NumericError, match=r"blew up at step 1 .*first sample 1 with c0=inf"):
         simulate_rd(RDParams(n=8), np.array([0.5, np.inf, np.nan]))
 
 
@@ -271,23 +283,6 @@ def test_rd_dataset_payload_pinned(params, n_samples, seed, crc_v, crc_u):
     assert zlib.crc32(ds.U.tobytes()) == crc_u
 
 
-# --- diffusion-coefficient profile for the 3D problem ---
-
-def test_k_profile_positive_and_asymmetric():
-    y = np.linspace(-1.0, 1.0, 10_000)
-    k = eval_K_profile(y)
-    assert k.min() > 0.0
-    assert np.max(np.abs(k - eval_K_profile(-y))) > 1e-3
-
-
-def test_k_profile_saturates():
-    left = eval_K_profile(-50.0)
-    right = eval_K_profile(50.0)
-    assert abs(eval_K_profile(-60.0) - left) < 1e-12
-    assert abs(eval_K_profile(60.0) - right) < 1e-12
-    assert np.isfinite(left) and np.isfinite(right)
-
-
 def test_scalar_targets_is_the_vector_field_magnitude():
     rng = np.random.default_rng(5)
     V = rng.normal(size=(3, 6, 3))
@@ -313,12 +308,13 @@ def _tiny_dataset():
 
 def test_roundtrip_bit_exact(tmp_path):
     ds = _tiny_dataset()
+    ds.metadata["note"] = "a\rb=c"  # other line breaks stay inside a value
     path = tmp_path / "tiny.odn"
     write_dataset(ds, path)
     back = read_dataset(path)
     for a, b in ((ds.X, back.X), (ds.Y, back.Y), (ds.U, back.U), (ds.V, back.V)):
         assert a.tobytes() == b.tobytes()
-    assert back.metadata["generator"] == "test"
+    assert back.metadata == {"name": "tiny", **ds.metadata}
     assert back.name == "tiny"
 
 

@@ -162,3 +162,13 @@ def test_evaluate_model_accepts_a_binding():
     bound = evaluate_model(model, u, v, model.bind(y))
     assert bound.per_function.tobytes() == direct.per_function.tobytes()
     assert bound.spatial_mse_field.tobytes() == direct.spatial_mse_field.tobytes()
+
+
+def test_evaluate_model_rejects_vector_targets():
+    # callers pass magnitudes (OperatorDataset.scalar_targets); a vector
+    # field is a shape mismatch with the (N, N_y) predictions
+    model = EnsembleModel([VanillaTrunk(init_mlp(MLPConfig(1, (4,), 2, "tanh", True), 0))],
+                          init_mlp(MLPConfig(3, (4,), 2, "tanh", False), 1), None)
+    u, y = np.ones((2, 3)), np.linspace(0, 1, 5)[:, None]
+    with pytest.raises(ShapeError):
+        evaluate_model(model, u, np.ones((2, 5, 2)), y)

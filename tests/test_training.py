@@ -8,7 +8,6 @@ from odnet.partition import Patch, PatchSet, pou_weight_matrix
 from odnet.pod import compute_pod
 from odnet.training import (
     Adam,
-    AdamW,
     TrainConfig,
     inverse_time_lr,
     mse_loss,
@@ -81,24 +80,22 @@ def test_adamw_reduces_to_adam_when_decay_zero():
     init = rng.normal(size=(4,))
     grads = [rng.normal(size=(4,)) for _ in range(10)]
 
-    def run(opt_cls, **kw):
+    def run(flagged):
         w = ad.Tensor(init.copy(), requires_grad=True)
-        opt = opt_cls([w], **kw)
+        opt = Adam([w], weight_decay=0.0, decay_params=[w]) if flagged else Adam([w])
         for g in grads:
             w.grad = g.copy()
             opt.step(0.05)
         return w.data
 
-    a = run(Adam)
-    b = run(AdamW, weight_decay=0.0, decay_params=[])
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(run(False), run(True))
 
 
 def test_adamw_decay_only_value():
     # g=0, w=1, lambda=0.01, lr=0.1, zero state -> w = 0.999
     w = ad.Tensor(np.array(1.0), requires_grad=True)
     w.grad = np.array(0.0)
-    opt = AdamW([w], weight_decay=0.01, decay_params=[w])
+    opt = Adam([w], weight_decay=0.01, decay_params=[w])
     opt.step(0.1)
     assert float(w.data) == pytest.approx(0.999, abs=1e-15)
 
@@ -109,7 +106,7 @@ def test_adamw_random_step_matches_formula_oracle():
     g = rng.normal(size=(5,))
     lam, lr, b1, b2, eps = 0.02, 0.05, 0.9, 0.999, 1e-8
     w = ad.Tensor(w0.copy(), requires_grad=True)
-    opt = AdamW([w], weight_decay=lam, decay_params=[w])
+    opt = Adam([w], weight_decay=lam, decay_params=[w])
     w.grad = g.copy()
     opt.step(lr)
     m_hat = (1 - b1) * g / (1 - b1)
@@ -123,7 +120,7 @@ def test_adamw_skips_bias_decay():
     b = ad.Tensor(np.array(1.0), requires_grad=True)
     w.grad = np.array(0.0)
     b.grad = np.array(0.0)
-    opt = AdamW([w, b], weight_decay=0.01, decay_params=[w])
+    opt = Adam([w, b], weight_decay=0.01, decay_params=[w])
     opt.step(0.1)
     assert float(w.data) == pytest.approx(0.999, abs=1e-15)
     assert float(b.data) == 1.0
