@@ -7,9 +7,11 @@ version = 1, these fields, then the CRC32 of all prior bytes.
     u32      array count, then per array:
                  text name, u32 ndim, u32 dims (one 1 for a scalar), f64 data
 
-All trainable tensors, patch geometry, and POD arrays are stored, so a
-loaded model reproduces predictions bit-exactly. POD members additionally
-need the dataset at load time: its output locations Y are matched against
+The stored config gives the structure and the arrays fill it in: loading
+assembles the model the config declares, as training does, from the stored
+networks, POD bases and bias, so it reproduces predictions bit-exactly. A
+file whose attributes or arrays do not fit its config is a DataError. POD
+members also need the dataset: its output locations Y are matched against
 the stored CRC32 reference hash, since modes only exist on that grid.
 """
 
@@ -21,10 +23,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import OperatorDataset, _SealedReader, _SealedWriter
-from .errors import DataError
-from .networks import MLP, MLPConfig
-from .partition import Patch, PatchSet
+from .errors import ConfigError, DataError, ShapeError
+from .networks import MLP
 from .pod import PODBasis, numerical_rank
+from .runconfig import assemble_model, parse_config
 from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk
 
 MAGIC = b"ODNMDL01"
@@ -87,6 +89,17 @@ def pod_ranks(arrays: dict) -> dict:
     }
 
 
+def parameter_counts(arrays: dict) -> dict:
+    """``params.<network>`` -> the values stored for each MLP (``branch``,
+    ``member<i>``, ``member<i>.expert<k>``) and for the bias."""
+    counts = {}
+    for name, arr in sorted(arrays.items()):
+        net, layer, _ = name.partition(".layer")
+        if layer or name == "bias":
+            counts[f"params.{net}"] = counts.get(f"params.{net}", 0) + arr.size
+    return counts
+
+
 def save_checkpoint(model: EnsembleModel, config_text: str, path, seed: int = 0):
     attrs, arrays = collect_state(model)
     attrs["seed"] = str(int(seed))
@@ -115,78 +128,48 @@ def read_checkpoint_raw(path):
     return config_text, attrs, arrays
 
 
-def _mlp_from_arrays(prefix: str, arrays: dict, activation: str, activate_last: bool) -> MLP:
-    weights, biases = [], []
-    j = 0
-    while f"{prefix}.layer{j}.weight" in arrays:
-        weights.append(ad.Tensor(arrays[f"{prefix}.layer{j}.weight"], requires_grad=True))
-        biases.append(ad.Tensor(arrays[f"{prefix}.layer{j}.bias"], requires_grad=True))
-        j += 1
-    if len(weights) < 2:
-        raise DataError(f"checkpoint is missing layers for {prefix!r}")
-    dims = [weights[0].data.shape[0]] + [w.data.shape[1] for w in weights]
-    cfg = MLPConfig(dims[0], tuple(dims[1:-1]), dims[-1], activation, activate_last)
-    return MLP(cfg, weights, biases)
+def _contents(attrs: dict, arrays: dict) -> dict:
+    """Every attribute but the seed, and every array's shape and bytes, by name."""
+    return {**{f"attribute {k}": v for k, v in attrs.items() if k != "seed"},
+            **{f"array {name}": (a.shape, a.tobytes()) for name, a in arrays.items()}}
 
 
 def load_checkpoint(path, dataset: OperatorDataset | None = None):
     """Rebuild the model; returns (model, config_text, attrs).
 
-    ``dataset`` is required when the checkpoint contains a POD member and
-    its Y locations must hash-match the stored reference. A missing or
-    unreadable attribute or array raises DataError.
-    """
-    from .runconfig import parse_config
-
+    The stored config gives the structure (``runconfig.assemble_model``)
+    and the stored arrays fill it in. The file must be exactly what that
+    model writes, the seed aside: a file whose attributes or arrays do not
+    fit its config raises DataError. ``dataset`` is needed only for POD
+    members, and its Y must hash-match their stored reference."""
     config_text, attrs, arrays = read_checkpoint_raw(path)
     cfg = parse_config(config_text)
+
+    def stored_mlp(name, mcfg, _seed):
+        def tensors(part):
+            return [ad.Tensor(arrays[f"{name}.layer{j}.{part}"], requires_grad=True)
+                    for j in range(len(mcfg.layer_dims) - 1)]
+        return MLP(mcfg, tensors("weight"), tensors("bias"))
+
+    def stored_pod(i, spec):
+        if dataset is None:
+            raise DataError("checkpoint contains a POD trunk; a dataset is required "
+                            "to attach its output locations")
+        if _y_crc(dataset.Y) != int(attrs[f"member{i}.y_crc"]):
+            raise DataError("dataset output locations Y do not match the checkpoint's "
+                            "POD reference hash")
+        return PODBasis(*(arrays[f"member{i}.pod.{part}"] for part in
+                          ("phi0", "modes", "eigenvalues")), y_locations=dataset.Y)
+
     try:
-        n_members = int(attrs["n_members"])
-        members = []
-        for i in range(n_members):
-            key = f"member{i}"
-            kind = attrs[f"{key}.kind"]
-            p = int(attrs[f"{key}.p"])
-            if kind == "vanilla":
-                members.append(VanillaTrunk(
-                    _mlp_from_arrays(key, arrays, cfg.activation, activate_last=True)
-                ))
-            elif kind == "pod":
-                if dataset is None:
-                    raise DataError(
-                        "checkpoint contains a POD trunk; a dataset is required to "
-                        "attach its output locations"
-                    )
-                stored = int(attrs[f"{key}.y_crc"])
-                if _y_crc(dataset.Y) != stored:
-                    raise DataError(
-                        "dataset output locations Y do not match the checkpoint's "
-                        "POD reference hash"
-                    )
-                basis = PODBasis(
-                    arrays[f"{key}.pod.phi0"],
-                    arrays[f"{key}.pod.modes"],
-                    arrays[f"{key}.pod.eigenvalues"],
-                    y_locations=dataset.Y,
-                )
-                members.append(PODTrunk(basis, p, attrs[f"{key}.modified"] == "1"))
-            elif kind == "pou":
-                centers = arrays[f"{key}.patch_centers"]
-                radii = arrays[f"{key}.patch_radii"]
-                ps = PatchSet(
-                    [Patch(c, r) for c, r in zip(centers, radii)],
-                    delta=float(attrs[f"{key}.delta"]),
-                )
-                experts = [_mlp_from_arrays(f"{key}.expert{k}", arrays, cfg.activation,
-                                            activate_last=True) for k in range(len(ps))]
-                members.append(PoUTrunk(ps, experts, p))
-            else:
-                raise DataError(f"{path}: unknown member kind {kind!r}")
-        branch = _mlp_from_arrays("branch", arrays, cfg.activation, activate_last=False)
-        bias = None
-        if attrs.get("bias_present") == "1":
-            bias = ad.Tensor(arrays["bias"], requires_grad=True)
-        model = EnsembleModel(members, branch, bias)
-    except (KeyError, ValueError) as exc:
+        model = assemble_model(cfg, int(attrs["branch_input_dim"]), int(attrs["location_dim"]),
+                               0, stored_mlp, stored_pod)
+        if model.bias is not None:
+            model.bias.data[...] = arrays["bias"]
+    except (KeyError, ValueError, ShapeError, ConfigError) as exc:
         raise DataError(f"{path}: checkpoint field missing or unreadable: {exc!r}") from None
+    rebuilt, stored = _contents(*collect_state(model)), _contents(attrs, arrays)
+    misfits = sorted(k for k in rebuilt.keys() | stored.keys() if rebuilt.get(k) != stored.get(k))
+    if misfits:
+        raise DataError(f"{path}: checkpoint does not fit its config at {', '.join(misfits[:3])}")
     return model, config_text, attrs

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, pod_ranks,
-                         read_checkpoint_raw, save_checkpoint)
+from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, parameter_counts,
+                         pod_ranks, read_checkpoint_raw, save_checkpoint)
 from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
 from .evaluation import evaluate_model
@@ -196,10 +196,9 @@ def cmd_inspect(args) -> int:
         print(f"ODM1 checkpoint: {len(arrays)} arrays")
         for k in sorted(attrs):
             print(f"  {k}={attrs[k]}")
-        for k, rank in pod_ranks(arrays).items():
-            print(f"  {k}={rank}")
-        total = sum(a.size for a in arrays.values())
-        print(f"  total_values={total}")
+        total = {"total_values": sum(a.size for a in arrays.values())}
+        for k, v in {**pod_ranks(arrays), **total, **parameter_counts(arrays)}.items():
+            print(f"  {k}={v}")
         return 0
     raise DataError(f"{args.path}: unknown magic {magic!r}")
 

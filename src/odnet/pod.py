@@ -45,10 +45,12 @@ class PODBasis:
             None if y_locations is None
             else np.ascontiguousarray(y_locations, dtype=np.float64)
         )
-        if self.modes.ndim != 2 or self.modes.shape[0] != self.mean_function.shape[0]:
-            raise DataError("POD modes and mean function must share the location axis")
-        if self.eigenvalues.shape[0] != self.modes.shape[1]:
-            raise DataError("one eigenvalue per mode required")
+        n_y, k = self.mean_function.size, self.eigenvalues.size
+        if (self.mean_function.ndim != 1 or self.eigenvalues.ndim != 1
+                or self.modes.shape != (n_y, k)):
+            raise DataError("POD needs a mean function (N_y,), modes (N_y, k) and k eigenvalues")
+        if self.y_locations is not None and self.y_locations.shape[0] != n_y:
+            raise DataError("POD basis and its locations Y differ in N_y")
 
     @property
     def n_modes(self):

@@ -330,56 +330,63 @@ def build_patchset(spec: TrunkSpec) -> PatchSet:
     return PatchSet([Patch(c, rho) for c in centers], delta=spec.delta)
 
 
-def build_model(cfg: RunConfig, dataset: datamod.OperatorDataset,
-                train_idx, seed: int) -> EnsembleModel:
-    """Assemble the ensemble for a dataset: POD bases come from the
-    training split only, and PoU patch sets must cover all of Y."""
-    d_v = dataset.d_v
+def assemble_model(cfg: RunConfig, n_x: int, d_v: int, seed: int,
+                   make_mlp, pod_basis) -> EnsembleModel:
+    """The ensemble ``cfg`` declares for N_x branch inputs and d_v-dimensional
+    locations: member order, seed streams, patch sets and the bias rule.
+    ``make_mlp(name, mlp_config, seed)`` supplies the network stored under
+    ``name`` (``member<i>``, ``member<i>.expert<k>`` or ``branch``), and
+    ``pod_basis(i, spec)`` the basis of POD member i."""
     seed_seq = np.random.SeedSequence(entropy=(int(seed), 0xD0)).spawn(len(cfg.members) + 1)
     members = []
     for i, spec in enumerate(cfg.members):
         child = seed_seq[i].generate_state(1)[0]
         if spec.kind == "vanilla":
             mcfg = MLPConfig(d_v, spec.hidden, spec.p, cfg.activation, activate_last=True)
-            members.append(VanillaTrunk(init_mlp(mcfg, child)))
+            members.append(VanillaTrunk(make_mlp(f"member{i}", mcfg, child)))
         elif spec.kind == "pod":
-            targets = dataset.scalar_targets()[np.asarray(train_idx)]
-            if spec.p > min(targets.shape):
-                raise ConfigError(
-                    f"trunk {spec.name!r}: p={spec.p} exceeds the {min(targets.shape)} "
-                    f"POD modes of {targets.shape[0]} training snapshots on "
-                    f"{targets.shape[1]} locations"
-                )
-            basis = compute_pod(targets, spec.p, y_locations=dataset.Y)
-            members.append(PODTrunk(basis, spec.p, spec.modified))
+            members.append(PODTrunk(pod_basis(i, spec), spec.p, spec.modified))
         else:
             ps = build_patchset(spec)
             if ps.dimension != d_v:
                 raise ConfigError(
                     f"trunk {spec.name!r}: patch dimension {ps.dimension} != d_v {d_v}"
                 )
-            uncovered = coverage_check(ps, dataset.Y)
-            if uncovered:
-                raise CoverageError(
-                    f"trunk {spec.name!r}: {len(uncovered)} output location(s) "
-                    f"not covered by any patch (first index {uncovered[0]})"
-                )
             ecfg = MLPConfig(d_v, spec.hidden, spec.p, cfg.activation, activate_last=True)
             expert_seeds = np.random.SeedSequence(entropy=(int(child), 0xE)).spawn(len(ps))
-            experts = [
-                init_mlp(ecfg, s.generate_state(1)[0]) for s in expert_seeds
-            ]
+            experts = [make_mlp(f"member{i}.expert{k}", ecfg, s.generate_state(1)[0])
+                       for k, s in enumerate(expert_seeds)]
             members.append(PoUTrunk(ps, experts, spec.p))
-    total_p = sum(m.p for m in members)
-    bcfg = MLPConfig(dataset.n_x, cfg.branch_hidden, total_p, cfg.activation,
+    bcfg = MLPConfig(n_x, cfg.branch_hidden, sum(m.p for m in members), cfg.activation,
                      activate_last=False)
-    branch = init_mlp(bcfg, seed_seq[-1].generate_state(1)[0])
-    bias = None
-    standalone_standard_pod = (
-        len(members) == 1
-        and isinstance(members[0], PODTrunk)
-        and not members[0].modified
-    )
-    if not standalone_standard_pod:
-        bias = ad.Tensor(np.zeros(()), requires_grad=True)
+    branch = make_mlp("branch", bcfg, seed_seq[-1].generate_state(1)[0])
+    standalone_standard_pod = [(m.kind, m.modified) for m in cfg.members] == [("pod", False)]
+    bias = None if standalone_standard_pod else ad.Tensor(np.zeros(()), requires_grad=True)
     return EnsembleModel(members, branch, bias)
+
+
+def build_model(cfg: RunConfig, dataset: datamod.OperatorDataset,
+                train_idx, seed: int) -> EnsembleModel:
+    """Assemble the ensemble for a dataset: fresh networks, POD bases from
+    the training split only, and PoU patch sets that must cover all of Y."""
+
+    def pod_basis(i, spec):
+        targets = dataset.scalar_targets()[np.asarray(train_idx)]
+        if spec.p > min(targets.shape):
+            raise ConfigError(
+                f"trunk {spec.name!r}: p={spec.p} exceeds the {min(targets.shape)} "
+                f"POD modes of {targets.shape[0]} training snapshots on "
+                f"{targets.shape[1]} locations"
+            )
+        return compute_pod(targets, spec.p, y_locations=dataset.Y)
+
+    model = assemble_model(cfg, dataset.n_x, dataset.d_v, seed,
+                           lambda name, mcfg, s: init_mlp(mcfg, s), pod_basis)
+    for spec, member in zip(cfg.members, model.members):
+        uncovered = coverage_check(member.patchset, dataset.Y) if spec.kind == "pou" else []
+        if uncovered:
+            raise CoverageError(
+                f"trunk {spec.name!r}: {len(uncovered)} output location(s) "
+                f"not covered by any patch (first index {uncovered[0]})"
+            )
+    return model

@@ -30,6 +30,8 @@ from odnet.runconfig import build_model, generate_dataset, parse_config, split_i
 from odnet.training import mse_loss, train
 from odnet.trunks import EnsembleModel, VanillaTrunk
 
+pytestmark = pytest.mark.acceptance
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 

@@ -387,6 +387,7 @@ def test_inspect_both_formats(pod_config, tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "run-seed0.odm")]) == 0
     out = capsys.readouterr().out
     assert "ODM1 checkpoint" in out and "member1.kind=pod" in out
+    assert out.index("  total_values=") < out.index("  params.")
     # inspect prints the numerical rank the train manifest recorded
     rank = _manifest_fields(tmp_path / "run-seed0.manifest.txt")["pod_rank.member1"]
     assert rank == "3/3"
@@ -395,6 +396,10 @@ def test_inspect_both_formats(pod_config, tmp_path, capsys):
     # the round-off tail of one written by a covariance eigensolver
     ds = read_dataset(data)
     model, text, _ = load_checkpoint(str(tmp_path / "run-seed0.odm"), ds)
+    # values per stored network, from the arrays alone; a POD member has none
+    for net, mlp in (("member0", model.members[0].mlp), ("branch", model.branch)):
+        assert f"  params.{net}={mlp.config.parameter_count}\n" in out
+    assert "  params.bias=1\n" in out and "params.member1" not in out
     model.members[1].basis.eigenvalues = np.array([1.0e3, 0.119, 7e-13])
     save_checkpoint(model, text, str(tmp_path / "old.odm"))
     assert main(["inspect", str(tmp_path / "old.odm")]) == 0
@@ -445,3 +450,36 @@ def test_odm1_huge_array_shape_exits_3(anti_run, tmp_path, capsys):
     assert struct.unpack_from("<I", blob, dims_at - 4) == (2,)
     struct.pack_into("<2I", blob, dims_at, 2**32 - 1, 2**32 - 1)
     _exits_data_error(["inspect", _resealed(tmp_path / "bad.odm", bytes(blob))], capsys)
+
+
+def _flat_branch_weight(blob: bytes) -> bytes:
+    """Stores branch.layer0.weight as one 1-d array of the same values."""
+    at = blob.index(b"branch.layer0.weight") + len(b"branch.layer0.weight")
+    ndim, rows, cols = struct.unpack_from("<3I", blob, at)
+    assert ndim == 2
+    return blob[:at] + struct.pack("<2I", 1, rows * cols) + blob[at + 12:]
+
+
+def _extra_array(blob: bytes) -> bytes:
+    """Appends a 1-value array named "extra" and counts it."""
+    count_at = blob.index(struct.pack("<I", 4) + b"bias") - 4  # "bias" sorts first
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    record = struct.pack("<I", 5) + b"extra" + struct.pack("<2Id", 1, 1, 0.5)
+    return (blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4:-4]
+            + record + blob[-4:])
+
+
+_MISFITS = {
+    "1-d branch weight": _flat_branch_weight,
+    "extra array": _extra_array,
+    "member0.p=7": lambda blob: blob.replace(b"\nmember0.p=4\n", b"\nmember0.p=7\n"),
+}
+
+
+@pytest.mark.parametrize("edit", _MISFITS.values(), ids=_MISFITS.keys())
+def test_odm1_that_does_not_fit_its_config_exits_3(edit, anti_run, tmp_path, capsys):
+    data, ckpt = anti_run
+    blob = ckpt.read_bytes()
+    bad = edit(blob)
+    assert bad != blob
+    _exits_data_error(["eval", _resealed(tmp_path / "bad.odm", bad), data], capsys)

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,11 @@ from odnet.data import (gen_antiderivative, RDParams, gen_reaction_diffusion_2d,
                         write_dataset)
 from odnet.errors import ConfigError, CoverageError, DataError
 from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
+from odnet.training import train
 from test_format_fuzz import CFG as FUZZ_CFG
 from odnet.trunks import PODTrunk, PoUTrunk, VanillaTrunk
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 [data]
@@ -205,9 +211,6 @@ def test_build_pou_model_coverage_enforced():
 
 
 def test_bundled_configs_build_the_model_zoo():
-    from pathlib import Path
-
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
     expected = {
         "rd2d-vanilla.ini": ["vanilla"],
         "rd2d-pod.ini": ["pod"],
@@ -221,24 +224,22 @@ def test_bundled_configs_build_the_model_zoo():
     ds = gen_reaction_diffusion_2d(RDParams(n=8, branch_grid=4), 16, seed=0)
     train_idx, _ = split_indices(16, 4, 0)
     for name, kinds in expected.items():
-        cfg = parse_config((config_dir / name).read_text())
+        cfg = parse_config((CONFIG_DIR / name).read_text())
         assert [m.kind for m in cfg.members] == kinds, name
         model = build_model(cfg, ds, train_idx, seed=0)
         assert model.total_p == sum(m.p for m in cfg.members)
         # standalone standard POD is the only bias-free model
         assert (model.bias is None) == (name == "rd2d-pod.ini")
     # the (P+1)-vanilla control carries as many trunks as POD-PoU's P+1
-    pp1 = parse_config((config_dir / "rd2d-p-plus-1-vanilla.ini").read_text())
-    podpou = parse_config((config_dir / "rd2d-pod-pou.ini").read_text())
+    pp1 = parse_config((CONFIG_DIR / "rd2d-p-plus-1-vanilla.ini").read_text())
+    podpou = parse_config((CONFIG_DIR / "rd2d-pod-pou.ini").read_text())
     pou_spec = next(m for m in podpou.members if m.kind == "pou")
     n_patches = int(np.prod(pou_spec.grid))
     assert len(pp1.members) == n_patches + 1
 
 
 def test_bundled_configs_text_round_trip():
-    from pathlib import Path
-
-    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+    paths = sorted(CONFIG_DIR.glob("*.ini"))
     assert len(paths) == 9
     for path in paths:
         cfg = parse_config(path.read_text())
@@ -280,6 +281,28 @@ def test_checkpoint_roundtrip_pou(tmp_path):
     assert member.patchset.delta == 0.1
     after = loaded.predict(ds.U, ds.Y).data
     assert before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+def test_bundled_config_checkpoint_round_trip(name, tmp_path):
+    # save, load, save again: the same predictions, parameters and bytes
+    cfg = parse_config((CONFIG_DIR / name).read_text())
+    if cfg.data.generator == "rd2d":
+        ds = gen_reaction_diffusion_2d(RDParams(n=8, branch_grid=4), 16, seed=0)
+    else:
+        ds = generate_dataset(cfg.data)
+    train_idx, _ = split_indices(ds.n_samples, ds.n_samples // 4, 0)
+    model = build_model(cfg, ds, train_idx, seed=0)
+    # one epoch moves the trainable values, the bias too, off their start
+    train(model, ds.U[train_idx], ds.scalar_targets()[train_idx], ds.Y,
+          dataclasses.replace(cfg.train, epochs=1))
+    first, second = tmp_path / "first.odm", tmp_path / "second.odm"
+    save_checkpoint(model, cfg.text, first, seed=0)
+    loaded, text, _ = load_checkpoint(first, ds)
+    save_checkpoint(loaded, text, second, seed=0)
+    assert loaded.parameter_hash() == model.parameter_hash()
+    assert loaded.predict(ds.U, ds.Y).data.tobytes() == model.predict(ds.U, ds.Y).data.tobytes()
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_checkpoint_corruption_rejected(tmp_path):
