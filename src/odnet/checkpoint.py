@@ -163,7 +163,7 @@ def load_checkpoint(path, dataset: OperatorDataset | None = None):
 
     try:
         model = assemble_model(cfg, int(attrs["branch_input_dim"]), int(attrs["location_dim"]),
-                               0, stored_mlp, stored_pod)
+                               None, stored_mlp, stored_pod)
         if model.bias is not None:
             model.bias.data[...] = arrays["bias"]
     except (KeyError, ValueError, ShapeError, ConfigError) as exc:

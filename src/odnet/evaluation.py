@@ -29,16 +29,24 @@ def mean_relative_l2(preds, truths) -> float:
 
 
 def per_function_relative_l2(preds, truths) -> np.ndarray:
+    """``relative_l2`` of each row, bit for bit: a row's norm is
+    ``sqrt(r.dot(r))``, which is what ``np.linalg.norm`` computes for a
+    1-d float array."""
     preds = np.asarray(preds, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if preds.shape != truths.shape:
         raise ShapeError(f"shapes {preds.shape} and {truths.shape} differ")
+    # contiguous rows, as np.linalg.norm ravels its argument: a strided
+    # BLAS dot may sum in another order
+    preds = np.ascontiguousarray(preds.reshape(preds.shape[0], -1))
+    truths = np.ascontiguousarray(truths.reshape(truths.shape[0], -1))
     out = np.empty(preds.shape[0])
-    for i in range(preds.shape[0]):
-        try:
-            out[i] = relative_l2(preds[i], truths[i])
-        except DataError as exc:
-            raise DataError(f"function {i}: {exc}") from None
+    for i, (p, t) in enumerate(zip(preds, truths)):
+        denom = np.sqrt(t.dot(t))
+        if denom == 0.0:
+            raise DataError(f"function {i}: relative_l2: degenerate truth vector with zero norm")
+        r = p - t
+        out[i] = np.sqrt(r.dot(r)) / denom
     return out
 
 
@@ -106,7 +114,11 @@ def evaluate_model(model, u_samples, v_targets, y_locations,
     """Timed prediction over a sample batch plus the full error protocol.
 
     ``y_locations`` is the locations or a binding of them made by
-    ``model.bind``, so repeated calls at fixed locations can bind once.
+    ``model.bind``. The prediction is untaped, so repeated calls at the
+    same locations reuse the model's cached trunk matrix and run only the
+    branch and the product. The cache is rebuilt when a trunk parameter
+    changes (an optimizer step, an in-place edit) or the locations do, so
+    the report is the same bits as a first call's.
     ``v_targets`` is (N, N_y): pass a vector field's magnitudes, as
     ``OperatorDataset.scalar_targets`` gives them.
     """

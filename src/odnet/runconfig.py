@@ -330,17 +330,27 @@ def build_patchset(spec: TrunkSpec) -> PatchSet:
     return PatchSet([Patch(c, rho) for c in centers], delta=spec.delta)
 
 
-def assemble_model(cfg: RunConfig, n_x: int, d_v: int, seed: int,
+def _seed_streams(seed, tag: int, count: int) -> list:
+    """``count`` independent seeds derived from ``seed``; all None for None."""
+    if seed is None:
+        return [None] * count
+    children = np.random.SeedSequence(entropy=(int(seed), tag)).spawn(count)
+    return [s.generate_state(1)[0] for s in children]
+
+
+def assemble_model(cfg: RunConfig, n_x: int, d_v: int, seed: int | None,
                    make_mlp, pod_basis) -> EnsembleModel:
     """The ensemble ``cfg`` declares for N_x branch inputs and d_v-dimensional
     locations: member order, seed streams, patch sets and the bias rule.
     ``make_mlp(name, mlp_config, seed)`` supplies the network stored under
     ``name`` (``member<i>``, ``member<i>.expert<k>`` or ``branch``), and
-    ``pod_basis(i, spec)`` the basis of POD member i."""
-    seed_seq = np.random.SeedSequence(entropy=(int(seed), 0xD0)).spawn(len(cfg.members) + 1)
+    ``pod_basis(i, spec)`` the basis of POD member i. With ``seed=None`` no
+    seed streams are derived and ``make_mlp`` gets None, for networks that
+    are not freshly initialized."""
+    seeds = _seed_streams(seed, 0xD0, len(cfg.members) + 1)
     members = []
     for i, spec in enumerate(cfg.members):
-        child = seed_seq[i].generate_state(1)[0]
+        child = seeds[i]
         if spec.kind == "vanilla":
             mcfg = MLPConfig(d_v, spec.hidden, spec.p, cfg.activation, activate_last=True)
             members.append(VanillaTrunk(make_mlp(f"member{i}", mcfg, child)))
@@ -353,13 +363,12 @@ def assemble_model(cfg: RunConfig, n_x: int, d_v: int, seed: int,
                     f"trunk {spec.name!r}: patch dimension {ps.dimension} != d_v {d_v}"
                 )
             ecfg = MLPConfig(d_v, spec.hidden, spec.p, cfg.activation, activate_last=True)
-            expert_seeds = np.random.SeedSequence(entropy=(int(child), 0xE)).spawn(len(ps))
-            experts = [make_mlp(f"member{i}.expert{k}", ecfg, s.generate_state(1)[0])
-                       for k, s in enumerate(expert_seeds)]
+            experts = [make_mlp(f"member{i}.expert{k}", ecfg, s)
+                       for k, s in enumerate(_seed_streams(child, 0xE, len(ps)))]
             members.append(PoUTrunk(ps, experts, spec.p))
     bcfg = MLPConfig(n_x, cfg.branch_hidden, sum(m.p for m in members), cfg.activation,
                      activate_last=False)
-    branch = make_mlp("branch", bcfg, seed_seq[-1].generate_state(1)[0])
+    branch = make_mlp("branch", bcfg, seeds[-1])
     standalone_standard_pod = [(m.kind, m.modified) for m in cfg.members] == [("pod", False)]
     bias = None if standalone_standard_pod else ad.Tensor(np.zeros(()), requires_grad=True)
     return EnsembleModel(members, branch, bias)

@@ -15,8 +15,20 @@ member is in the ensemble.
 locations for a vanilla member, the rows and constant columns for a POD
 member, one ``(expert, idx, y[idx], w[idx])`` entry per active patch for
 the PoU member, and the summed offset row. A binding holds experts, not
-their outputs, so it stays valid while their weights change. PoU patches
-are summed sequentially in declared order, so results are bit-reproducible.
+their outputs, so it stays valid while their weights change: taped
+training binds once and re-runs the trunk every step. PoU patches are
+summed sequentially in declared order, so results are bit-reproducible.
+
+Untaped predictions go further. At fixed locations trunk(Y) does not
+depend on the input function, so the model keeps one entry for the last
+locations it served untaped: their binding's parts and offset, the trunk
+matrix (read-only), and the bytes of every trunk-member parameter it was
+computed from. A call reuses the matrix while Y has the same shape and
+bytes (or is the same binding) and every trunk parameter is byte-for-byte
+unchanged; anything else (an optimizer step, an in-place edit, a new Y)
+binds and evaluates the trunk again. The branch, the product, the bias
+and the offset run on every call, so outputs are the same bits either
+way. POD columns are constants of the basis and are not checked.
 """
 
 from __future__ import annotations
@@ -90,6 +102,9 @@ class PODTrunk:
     def __init__(self, basis: PODBasis, p: int, modified: bool):
         if basis.y_locations is None:
             raise ValueError("PODTrunk needs a basis with attached y_locations")
+        if basis.n_modes != int(p):
+            raise ValueError(f"POD trunk of width p={p} needs a basis of exactly p modes, "
+                             f"not {basis.n_modes}")
         self.basis = basis
         self.modified = bool(modified)
         self.p = int(p)
@@ -216,6 +231,17 @@ class Binding(NamedTuple):
     offset: np.ndarray | None  # summed mean-function rows of standard POD members
 
 
+class _TrunkCache(NamedTuple):
+    """The trunk matrix of the last locations a model served untaped. It
+    holds no reference to the model, so a dead model is freed at once."""
+
+    key: tuple | None  # (shape, bytes) of Y; None when a binding was passed
+    parts: tuple
+    offset: np.ndarray | None
+    trunk: ad.Tensor  # read-only
+    state: tuple  # (shape, bytes) of each trunk-member parameter
+
+
 class EnsembleModel:
     """Trunk members stacked column-wise under one branch network."""
 
@@ -239,6 +265,7 @@ class EnsembleModel:
         self.branch = branch
         self.bias = bias
         self.total_p = total_p
+        self._trunk_cache = None
 
     @property
     def input_dim(self):
@@ -264,20 +291,49 @@ class EnsembleModel:
             return outs[0]
         return ad.concat_columns(outs, tape)
 
+    def _trunk_state(self) -> tuple:
+        return tuple((t.data.shape, t.data.tobytes())
+                     for m in self.members for t in m.parameters())
+
+    def _untaped_trunk(self, y) -> _TrunkCache:
+        """The cached trunk matrix at ``y`` if it is still current, else a
+        freshly computed one, which replaces the cache entry."""
+        entry = self._trunk_cache
+        if isinstance(y, Binding):
+            key, hit = None, entry is not None and entry.parts is y.parts
+        else:
+            y = np.asarray(y.data if isinstance(y, ad.Tensor) else y, dtype=np.float64)
+            key = (y.shape, y.tobytes())
+            hit = entry is not None and entry.key == key
+        state = self._trunk_state()
+        if hit and entry.state == state:
+            return entry
+        bound = y if key is None else self.bind(y)
+        trunk = self.trunk_forward(bound)
+        trunk.data.flags.writeable = False
+        self._trunk_cache = _TrunkCache(key, bound.parts, bound.offset, trunk, state)
+        return self._trunk_cache
+
     def predict(self, u, y, tape=None) -> ad.Tensor:
         """Prediction matrix of shape (B_u, B_y); ``y`` is the locations
-        or a binding of them made by this model's ``bind``."""
+        or a binding of them made by this model's ``bind``. Untaped calls
+        reuse the trunk matrix of the last locations while it is current
+        (see the module docstring)."""
         u = ad.as_tensor(u)
         if u.data.ndim != 2 or u.data.shape[1] != self.input_dim:
             raise ShapeError(
                 f"predict: input-function samples have N_x={u.data.shape[1] if u.data.ndim == 2 else u.data.shape}, "
                 f"branch expects N_x={self.input_dim}"
             )
-        bound = y if isinstance(y, Binding) else self.bind(y)
-        if bound.model is not self:
+        if isinstance(y, Binding) and y.model is not self:
             raise ValueError("predict: the binding was made by another model")
         branch_out = self.branch.forward(u, tape)
-        trunk_out = self.trunk_forward(bound, tape)
+        if tape is None:
+            bound = self._untaped_trunk(y)
+            trunk_out = bound.trunk
+        else:
+            bound = y if isinstance(y, Binding) else self.bind(y)
+            trunk_out = self.trunk_forward(bound, tape)
         pred = ad.matmul_nt(branch_out, trunk_out, tape)
         if self.bias is not None:
             pred = ad.add_scalar(pred, self.bias, tape)

@@ -1,14 +1,17 @@
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from odnet.checkpoint import load_checkpoint, save_checkpoint
 from odnet.cli import main
-from odnet.data import read_dataset
+from odnet.data import RDParams, gen_reaction_diffusion_2d, read_dataset, write_dataset
+from odnet.errors import DataError
 from odnet.evaluation import evaluate_model
-from odnet.runconfig import parse_config, split_indices
+from odnet.pod import compute_pod
+from odnet.runconfig import build_model, parse_config, split_indices
 
 ANTI_CFG = """
 [data]
@@ -483,3 +486,18 @@ def test_odm1_that_does_not_fit_its_config_exits_3(edit, anti_run, tmp_path, cap
     bad = edit(blob)
     assert bad != blob
     _exits_data_error(["eval", _resealed(tmp_path / "bad.odm", bad), data], capsys)
+
+
+def test_odm1_pod_basis_wider_than_p_exits_3(tmp_path, capsys):
+    # an rd2d-pod checkpoint whose member carries a 9th mode for p = 8
+    text = (Path(__file__).resolve().parent.parent / "configs" / "rd2d-pod.ini").read_text()
+    ds = gen_reaction_diffusion_2d(RDParams(n=8, branch_grid=4), 16, seed=0)
+    data, ckpt = tmp_path / "rd.odn", tmp_path / "wide.odm"
+    write_dataset(ds, data)
+    train_idx = np.arange(12)
+    model = build_model(parse_config(text), ds, train_idx, seed=0)
+    model.members[0].basis = compute_pod(ds.V[train_idx], 9, y_locations=ds.Y)
+    save_checkpoint(model, text, ckpt)
+    with pytest.raises(DataError, match="exactly p modes"):
+        load_checkpoint(ckpt, ds)
+    _exits_data_error(["eval", str(ckpt), str(data)], capsys)

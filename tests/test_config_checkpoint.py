@@ -305,6 +305,22 @@ def test_bundled_config_checkpoint_round_trip(name, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_loading_derives_no_seed_streams(tmp_path, monkeypatch):
+    # stored networks need no initialization seeds, so a load spawns none
+    cfg = parse_config((CONFIG_DIR / "rd2d-vanilla-pod-pou.ini").read_text())
+    ds = gen_reaction_diffusion_2d(RDParams(n=8, branch_grid=4), 16, seed=0)
+    model = build_model(cfg, ds, np.arange(12), seed=4)
+    path = tmp_path / "model.odm"
+    save_checkpoint(model, cfg.text, path, seed=4)
+
+    def no_seed_sequence(*args, **kwargs):
+        raise AssertionError("load_checkpoint derived a seed stream")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+    loaded, _, _ = load_checkpoint(path, ds)
+    assert loaded.parameter_hash() == model.parameter_hash()
+
+
 def test_checkpoint_corruption_rejected(tmp_path):
     cfg = parse_config(GOOD)
     ds = gen_antiderivative(cfg.data.n, cfg.data.modes, cfg.data.grid, cfg.data.seed)

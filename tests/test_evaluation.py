@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odnet import autodiff as ad
 from odnet.errors import DataError, ShapeError
@@ -45,6 +47,24 @@ def test_mean_relative_l2_matches_scalar_loop():
         [np.linalg.norm(p - t) / np.linalg.norm(t) for p, t in zip(preds, truths)]
     )
     assert mean_relative_l2(preds, truths) == pytest.approx(loop, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), n_y=st.integers(1, 70),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_per_function_relative_l2_matches_norm_bytes(seed, n, n_y, scale, layout):
+    # the row-dot path gives the bytes np.linalg.norm gives, row by row,
+    # for any memory layout of the inputs
+    rng = np.random.default_rng(seed)
+    truths = scale * (rng.normal(size=(n, n_y)) + 0.5)
+    preds = truths + scale * 0.1 * rng.normal(size=(n, n_y))
+    if layout == "F":
+        preds, truths = np.asfortranarray(preds), np.asfortranarray(truths)
+    elif layout == "strided":
+        preds, truths = np.repeat(preds, 2, axis=1)[:, ::2], np.repeat(truths, 2, axis=1)[:, ::2]
+    reference = np.array([relative_l2(p, t) for p, t in zip(preds, truths)])
+    assert per_function_relative_l2(preds, truths).tobytes() == reference.tobytes()
 
 
 def test_mean_relative_l2_names_degenerate_row():

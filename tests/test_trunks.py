@@ -1,11 +1,19 @@
+import gc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from odnet import autodiff as ad
+from odnet.checkpoint import load_checkpoint, save_checkpoint
+from odnet.data import RDParams, gen_reaction_diffusion_2d
 from odnet.errors import CoverageError, ShapeError
 from odnet.networks import MLPConfig, init_mlp
 from odnet.partition import Patch, PatchSet, pou_weight_matrix
 from odnet.pod import compute_pod
+from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
+from odnet.training import make_optimizer, mse_loss
 from odnet.trunks import (
     EnsembleModel,
     PODTrunk,
@@ -373,3 +381,150 @@ def test_checkpointable_parameter_hash_changes():
     h1 = model.parameter_hash()
     member.mlp.weights[0].data += 1.0
     assert model.parameter_hash() != h1
+
+
+# --- the untaped trunk cache ---
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _bundled(name):
+    """A bundled config's model on a small dataset of its generator."""
+    cfg = parse_config((CONFIG_DIR / name).read_text())
+    if cfg.data.generator == "rd2d":
+        ds = gen_reaction_diffusion_2d(RDParams(n=8, branch_grid=4), 16, seed=0)
+    else:
+        ds = generate_dataset(cfg.data)
+    train_idx, _ = split_indices(ds.n_samples, ds.n_samples // 4, 0)
+    return cfg, ds, build_model(cfg, ds, train_idx, seed=0)
+
+
+def _uncached(model, u, y):
+    # a taped prediction never reads or fills the cache
+    return model.predict(u, model.bind(y), ad.Tape()).data
+
+
+def _count_trunk_forwards(model):
+    calls = []
+    inner = model.trunk_forward
+
+    def counting(bound, tape=None):
+        calls.append(tape)
+        return inner(bound, tape)
+
+    model.trunk_forward = counting
+    return calls
+
+
+def _mixed_model(y, seed=30):
+    """Vanilla, standard POD (rows of y) and PoU members under one branch."""
+    return EnsembleModel([make_vanilla(p=2, seed=seed), _pod_member(y, modified=False),
+                          make_pou(p=3, seed=seed + 1)],
+                         make_branch(4, 8, seed=seed + 2),
+                         ad.Tensor(np.array(0.1), requires_grad=True))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+def test_cached_and_uncached_predictions_are_the_same_bytes(name):
+    _, ds, model = _bundled(name)
+    calls = _count_trunk_forwards(model)
+    first = model.predict(ds.U, ds.Y).data
+    second = model.predict(ds.U[::-1], ds.Y.copy()).data  # equal bytes: a hit
+    assert calls == [None]
+    assert first.tobytes() == _uncached(model, ds.U, ds.Y).tobytes()
+    assert second.tobytes() == _uncached(model, ds.U[::-1], ds.Y).tobytes()
+
+
+def _reloaded_prediction(model, cfg, ds, path):
+    save_checkpoint(model, cfg.text, path, seed=0)
+    return load_checkpoint(path, ds)[0].predict(ds.U, ds.Y).data
+
+
+def test_cache_follows_optimizer_steps_and_in_place_edits(tmp_path):
+    cfg, ds, model = _bundled("rd2d-vanilla-pod-pou.ini")
+    stale = model.predict(ds.U, ds.Y).data
+    optimizer = make_optimizer(model, cfg.train)
+    tape = ad.Tape()
+    loss = mse_loss(model.predict(ds.U, ds.Y, tape), ds.scalar_targets(), tape)
+    tape.backward(loss)
+    optimizer.step(1e-2)
+    stepped = model.predict(ds.U, ds.Y).data
+    assert stepped.tobytes() != stale.tobytes()
+    assert stepped.tobytes() == _reloaded_prediction(model, cfg, ds, tmp_path / "a.odm").tobytes()
+    # one expert weight edited in place, the branch untouched
+    pou = model.members[2]
+    pou.experts[0].weights[0].data += 0.01
+    edited = model.predict(ds.U, ds.Y).data
+    assert edited.tobytes() != stepped.tobytes()
+    assert edited.tobytes() == _reloaded_prediction(model, cfg, ds, tmp_path / "b.odm").tobytes()
+
+
+def test_locations_changed_in_place_are_bound_again():
+    rng = np.random.default_rng(31)
+    y_grid = rng.uniform(-0.9, 0.9, size=(12, 2))
+    model = _mixed_model(y_grid)
+    u = rng.uniform(-1, 1, size=(3, 4))
+    y = y_grid.copy()
+    before = model.predict(u, y).data
+    y[:] = y_grid[::-1]  # still on the POD grid, in another order
+    after = model.predict(u, y).data
+    assert after.tobytes() == _uncached(model, u, y_grid[::-1]).tobytes()
+    assert after.tobytes() == before[:, ::-1].tobytes()
+    # and back through a binding, which is keyed by itself
+    bound = model.bind(y_grid)
+    assert model.predict(u, bound).data.tobytes() == before.tobytes()
+
+
+def test_cached_trunk_is_read_only():
+    y = np.random.default_rng(32).uniform(-0.9, 0.9, size=(10, 2))
+    model = _mixed_model(y)
+    model.predict(np.ones((2, 4)), y)
+    trunk = model._trunk_cache.trunk.data
+    assert trunk.shape == (10, 8) and not trunk.flags.writeable
+    with pytest.raises(ValueError):
+        trunk[0, 0] = 1.0
+
+
+def test_taped_gradients_match_finite_differences_through_the_cache():
+    # the differences are untaped predictions after in-place parameter
+    # edits: a stale trunk matrix would give a zero trunk gradient
+    rng = np.random.default_rng(33)
+    y = rng.uniform(-0.9, 0.9, size=(9, 2))
+    model = _mixed_model(y)
+    u = rng.uniform(-1, 1, size=(4, 4))
+    v = rng.normal(size=(4, 9))
+    model.predict(u, y)  # a warm cache
+    tape = ad.Tape()
+    tape.backward(mse_loss(model.predict(u, y, tape), v, tape))
+    h = 1e-6
+    checked = 0
+    for t in model.parameters():
+        flat = t.data.reshape(-1)
+        for i in range(0, flat.size, 7):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(mse_loss(model.predict(u, y), v).data)
+            flat[i] = orig - h
+            down = float(mse_loss(model.predict(u, y), v).data)
+            flat[i] = orig
+            numeric, analytic = (up - down) / (2.0 * h), t.grad.reshape(-1)[i]
+            assert abs(numeric - analytic) <= 1e-6 * max(abs(numeric), abs(analytic), 1e-3)
+            checked += 1
+    assert checked > 50
+
+
+def test_model_that_served_predictions_is_freed_without_gc():
+    # the cache must not point back at its model: a cycle would keep every
+    # dead model alive until the cyclic collector runs
+    y = np.random.default_rng(34).uniform(-0.9, 0.9, size=(10, 2))
+    gc.disable()
+    try:
+        model = _mixed_model(y)
+        model.predict(np.ones((2, 4)), y)
+        model.predict(np.ones((2, 4)), model.bind(y))
+        model.predict(np.ones((2, 4)), y)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
