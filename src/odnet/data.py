@@ -66,6 +66,9 @@ class OperatorDataset:
             raise ShapeError("U must be (N, N_x)")
         if self.V.ndim not in (2, 3):
             raise ShapeError("V must be (N, N_y) or (N, N_y, c)")
+        if 0 in self.X.shape + self.Y.shape + self.U.shape + self.V.shape:
+            raise ShapeError(f"dataset has a zero dimension: X {self.X.shape}, "
+                             f"Y {self.Y.shape}, U {self.U.shape}, V {self.V.shape}")
         if self.U.shape[0] != self.V.shape[0]:
             raise ShapeError(
                 f"U has {self.U.shape[0]} samples but V has {self.V.shape[0]}"

@@ -113,10 +113,9 @@ def evaluate_model(model, u_samples, v_targets, y_locations,
                    dataset_name: str = "dataset", model_name: str = "model") -> EvalReport:
     """Timed prediction over a sample batch plus the full error protocol.
 
-    ``y_locations`` is the locations or a binding of them made by
-    ``model.bind``. The prediction is untaped, so repeated calls at the
-    same locations reuse the model's cached trunk matrix and run only the
-    branch and the product. The cache is rebuilt when a trunk parameter
+    The prediction at ``y_locations`` is untaped, so repeated calls at the
+    same locations reuse the model's trunk matrix and run only the branch
+    and the product. The matrix is computed again when a trunk parameter
     changes (an optimizer step, an in-place edit) or the locations do, so
     the report is the same bits as a first call's.
     ``v_targets`` is (N, N_y): pass a vector field's magnitudes, as

@@ -7,6 +7,7 @@ hold no trainable tensors, so they are frozen by construction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,12 +33,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.lr0 < 0.0:
-            raise ConfigError("lr0 must be nonnegative")
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be >= 0")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
+        for name in ("lr0", "gamma", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and >= 0")
         if self.decay_step < 0:
             raise ConfigError("decay_step must be >= 0 (0 -> epochs // 5)")
         if self.batch_size < 0:
@@ -126,8 +124,10 @@ def make_optimizer(model, cfg: TrainConfig):
 
 
 def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainReport:
-    """Full forward -> MSE -> backward -> optimizer-step epochs. The model
-    is bound to ``y_locations`` once, before the first epoch.
+    """Full forward -> MSE -> backward -> optimizer-step epochs at the
+    fixed locations ``y_locations``. Each step passes them to
+    ``model.predict``; the model works out what depends only on them on
+    the first step and keeps it while they are unchanged.
 
     Aborts with NumericError (carrying the epoch index and the partial
     report) as soon as the loss stops being finite. Its message names the
@@ -136,6 +136,7 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
     """
     u = np.asarray(u_samples, dtype=np.float64)
     v = np.asarray(v_targets, dtype=np.float64)
+    y = np.asarray(y_locations, dtype=np.float64)
     if u.shape[0] != v.shape[0]:
         raise ShapeError(f"got {u.shape[0]} inputs but {v.shape[0]} targets")
     optimizer = make_optimizer(model, cfg)
@@ -147,20 +148,18 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
 
     u_full = ad.Tensor(u)
     v_full = ad.Tensor(v)
-    bound = model.bind(y_locations)
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         lr = inverse_time_lr(cfg.lr0, cfg.gamma, decay_every, epoch)
         try:
             if batch == n:
-                epoch_loss = _step(model, optimizer, u_full, v_full, bound, lr)
+                epoch_loss = _step(model, optimizer, u_full, v_full, y, lr)
             else:
                 order = rng.permutation(n)
                 total = 0.0
                 for lo in range(0, n, batch):
                     sel = order[lo: lo + batch]
-                    loss = _step(model, optimizer, ad.Tensor(u[sel]), ad.Tensor(v[sel]),
-                                 bound, lr)
+                    loss = _step(model, optimizer, ad.Tensor(u[sel]), ad.Tensor(v[sel]), y, lr)
                     total += loss * sel.size
                 epoch_loss = total / n
         except NumericError as exc:
@@ -182,9 +181,9 @@ def _aborted(epoch: int, report: TrainReport, detail: str) -> NumericError:
     return err
 
 
-def _step(model, optimizer, u_t, v_t, bound, lr) -> float:
+def _step(model, optimizer, u_t, v_t, y, lr) -> float:
     tape = ad.Tape()
-    pred = model.predict(u_t, bound, tape)
+    pred = model.predict(u_t, y, tape)
     loss = mse_loss(pred, v_t, tape)
     value = float(loss.data)
     if not np.isfinite(value):

@@ -11,24 +11,27 @@ scalar bias b0 is present unless the model is a standalone standard-POD
 DeepONet, and the offset row appears when a standard (non-modified) POD
 member is in the ensemble.
 
-``EnsembleModel.bind(y)`` works out once what depends only on Y: the
-locations for a vanilla member, the rows and constant columns for a POD
-member, one ``(expert, idx, y[idx], w[idx])`` entry per active patch for
-the PoU member, and the summed offset row. A binding holds experts, not
-their outputs, so it stays valid while their weights change: taped
-training binds once and re-runs the trunk every step. PoU patches are
-summed sequentially in declared order, so results are bit-reproducible.
+A model keeps one entry for the last locations it served, keyed by the
+shape and bytes of Y, and taped and untaped predictions both go through
+it. On a new Y each member's ``bind`` works out once what depends only on
+the locations: a read-only copy of them for a vanilla member, the rows and
+constant columns for a POD member, one ``(expert, idx, y[idx], w[idx])``
+entry per active patch for the PoU member; the entry also holds the summed
+offset row. The parts hold experts, not their outputs, so they stay valid
+while weights change: taped training passes Y every step and re-runs the
+trunk on the same parts. PoU patches are summed sequentially in declared
+order, so results are bit-reproducible.
 
-Untaped predictions go further. At fixed locations trunk(Y) does not
-depend on the input function, so the model keeps one entry for the last
-locations it served untaped: their binding's parts and offset, the trunk
-matrix (read-only), and the bytes of every trunk-member parameter it was
-computed from. A call reuses the matrix while Y has the same shape and
-bytes (or is the same binding) and every trunk parameter is byte-for-byte
-unchanged; anything else (an optimizer step, an in-place edit, a new Y)
-binds and evaluates the trunk again. The branch, the product, the bias
-and the offset run on every call, so outputs are the same bits either
-way. POD columns are constants of the basis and are not checked.
+At fixed locations trunk(Y) does not depend on the input function, so an
+untaped call also keeps the trunk matrix (read-only) in the entry, with
+the bytes of every trunk-member parameter it was computed from. It reuses
+the matrix while every trunk parameter is byte-for-byte unchanged; an
+optimizer step or an in-place edit evaluates the trunk again, and a new Y
+(or the same array changed in place) replaces the entry. The branch, the
+product, the bias and the offset run on every call, so outputs are the
+same bits either way. POD columns are constants of the basis and are not
+checked. The entry holds no reference to its model, so a dead model is
+freed at once.
 """
 
 from __future__ import annotations
@@ -64,7 +67,10 @@ class VanillaTrunk:
         return self.mlp.config.input_dim
 
     def bind(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64)
+        """A read-only copy, so a later edit of the caller's Y cannot reach it."""
+        y = np.array(y, dtype=np.float64)
+        y.flags.writeable = False
+        return y
 
     def forward(self, y, tape=None) -> ad.Tensor:
         return self.mlp.forward(y, tape)
@@ -223,23 +229,14 @@ class PoUTrunk:
         return self.forward(self.bind(y, strict=False)).data[:, columns]
 
 
-class Binding(NamedTuple):
-    """A model bound to fixed locations Y by ``EnsembleModel.bind``."""
+class _Served(NamedTuple):
+    """What a model keeps of the last locations it served."""
 
-    model: "EnsembleModel"
+    key: tuple  # (shape, bytes) of Y
     parts: tuple  # one per member, what its forward takes
     offset: np.ndarray | None  # summed mean-function rows of standard POD members
-
-
-class _TrunkCache(NamedTuple):
-    """The trunk matrix of the last locations a model served untaped. It
-    holds no reference to the model, so a dead model is freed at once."""
-
-    key: tuple | None  # (shape, bytes) of Y; None when a binding was passed
-    parts: tuple
-    offset: np.ndarray | None
-    trunk: ad.Tensor  # read-only
-    state: tuple  # (shape, bytes) of each trunk-member parameter
+    trunk: ad.Tensor | None = None  # the untaped trunk matrix, read-only
+    state: tuple | None = None  # (shape, bytes) of each trunk parameter it came from
 
 
 class EnsembleModel:
@@ -265,7 +262,7 @@ class EnsembleModel:
         self.branch = branch
         self.bias = bias
         self.total_p = total_p
-        self._trunk_cache = None
+        self._served = None
 
     @property
     def input_dim(self):
@@ -275,18 +272,10 @@ class EnsembleModel:
     def location_dim(self):
         return self.members[0].input_dim
 
-    def bind(self, y) -> Binding:
-        """Bind the trunk to the locations ``y`` (B_y, d_v) once, so that
-        predictions at them redo no location work."""
-        y = np.asarray(y.data if isinstance(y, ad.Tensor) else y, dtype=np.float64)
-        parts = tuple(m.bind(y) for m in self.members)
-        offsets = [m.offset[part.rows] for m, part in zip(self.members, parts)
-                   if m.offset is not None]
-        return Binding(self, parts, sum(offsets[1:], offsets[0]) if offsets else None)
-
-    def trunk_forward(self, bound: Binding, tape=None) -> ad.Tensor:
-        """Column-wise concatenation of member outputs, declaration order."""
-        outs = [m.forward(part, tape) for m, part in zip(self.members, bound.parts)]
+    def trunk_forward(self, parts, tape=None) -> ad.Tensor:
+        """Column-wise concatenation of member outputs, declaration order;
+        ``parts`` holds what each member's ``bind`` made of the locations."""
+        outs = [m.forward(part, tape) for m, part in zip(self.members, parts)]
         if len(outs) == 1:
             return outs[0]
         return ad.concat_columns(outs, tape)
@@ -295,50 +284,44 @@ class EnsembleModel:
         return tuple((t.data.shape, t.data.tobytes())
                      for m in self.members for t in m.parameters())
 
-    def _untaped_trunk(self, y) -> _TrunkCache:
-        """The cached trunk matrix at ``y`` if it is still current, else a
-        freshly computed one, which replaces the cache entry."""
-        entry = self._trunk_cache
-        if isinstance(y, Binding):
-            key, hit = None, entry is not None and entry.parts is y.parts
-        else:
-            y = np.asarray(y.data if isinstance(y, ad.Tensor) else y, dtype=np.float64)
-            key = (y.shape, y.tobytes())
-            hit = entry is not None and entry.key == key
-        state = self._trunk_state()
-        if hit and entry.state == state:
-            return entry
-        bound = y if key is None else self.bind(y)
-        trunk = self.trunk_forward(bound)
-        trunk.data.flags.writeable = False
-        self._trunk_cache = _TrunkCache(key, bound.parts, bound.offset, trunk, state)
-        return self._trunk_cache
+    def _served_at(self, y) -> _Served:
+        """The entry for the locations ``y``; a Y of another shape or other
+        bytes than the last one served is bound anew and replaces it."""
+        y = np.asarray(y, dtype=np.float64)
+        key = (y.shape, y.tobytes())
+        if self._served is None or self._served.key != key:
+            parts = tuple(m.bind(y) for m in self.members)
+            offsets = [m.offset[part.rows] for m, part in zip(self.members, parts)
+                       if m.offset is not None]
+            self._served = _Served(key, parts, sum(offsets[1:], offsets[0]) if offsets else None)
+        return self._served
 
     def predict(self, u, y, tape=None) -> ad.Tensor:
-        """Prediction matrix of shape (B_u, B_y); ``y`` is the locations
-        or a binding of them made by this model's ``bind``. Untaped calls
-        reuse the trunk matrix of the last locations while it is current
-        (see the module docstring)."""
+        """Prediction matrix of shape (B_u, B_y) at the locations ``y``.
+        Untaped calls reuse the trunk matrix of the last locations while
+        it is current (see the module docstring)."""
         u = ad.as_tensor(u)
         if u.data.ndim != 2 or u.data.shape[1] != self.input_dim:
             raise ShapeError(
                 f"predict: input-function samples have N_x={u.data.shape[1] if u.data.ndim == 2 else u.data.shape}, "
                 f"branch expects N_x={self.input_dim}"
             )
-        if isinstance(y, Binding) and y.model is not self:
-            raise ValueError("predict: the binding was made by another model")
         branch_out = self.branch.forward(u, tape)
-        if tape is None:
-            bound = self._untaped_trunk(y)
-            trunk_out = bound.trunk
+        entry = self._served_at(y)
+        if tape is not None:
+            trunk_out = self.trunk_forward(entry.parts, tape)
         else:
-            bound = y if isinstance(y, Binding) else self.bind(y)
-            trunk_out = self.trunk_forward(bound, tape)
+            state = self._trunk_state()
+            if entry.state != state:
+                trunk = self.trunk_forward(entry.parts)
+                trunk.data.flags.writeable = False
+                entry = self._served = entry._replace(trunk=trunk, state=state)
+            trunk_out = entry.trunk
         pred = ad.matmul_nt(branch_out, trunk_out, tape)
         if self.bias is not None:
             pred = ad.add_scalar(pred, self.bias, tape)
-        if bound.offset is not None:
-            pred = ad.add_row_const(pred, bound.offset, tape)
+        if entry.offset is not None:
+            pred = ad.add_row_const(pred, entry.offset, tape)
         return pred
 
     def parameters(self):

@@ -170,6 +170,16 @@ def test_malformed_config_value_is_config_error(command, base, old, new, tmp_pat
     assert new.splitlines()[-1].split("=")[0].strip() in err  # names the edited key
 
 
+@pytest.mark.parametrize("lr0", ["nan", "inf"])
+def test_non_finite_lr0_flag_exits_2(lr0, anti_config, tmp_path, capsys):
+    data = str(tmp_path / "anti.odn")
+    assert main(["gen", anti_config, "--out", data]) == 0
+    capsys.readouterr()
+    assert main(["train", anti_config, data, "--out", str(tmp_path / "run"), "--lr0", lr0]) == 2
+    assert capsys.readouterr().err.startswith("config error: lr0 ")
+    assert not list(tmp_path.glob("*.odm"))
+
+
 def test_gen_same_seed_identical_crc(anti_config, tmp_path):
     a = tmp_path / "a.odn"
     b = tmp_path / "b.odn"
@@ -501,3 +511,25 @@ def test_odm1_pod_basis_wider_than_p_exits_3(tmp_path, capsys):
     with pytest.raises(DataError, match="exactly p modes"):
         load_checkpoint(ckpt, ds)
     _exits_data_error(["eval", str(ckpt), str(data)], capsys)
+
+
+def _zeros_odn1(path, d_u, d_v, n_x, n_y, n) -> str:
+    """A CRC-valid ODN1 of zeros with the given dimensions and c = 1."""
+    values = np.zeros(n_x * d_u + n_y * d_v + n * n_x + n * n_y, dtype="<f8")
+    text = b"name=zeros\n"
+    blob = (b"ODNSET01" + struct.pack("<7I", 1, d_u, d_v, n_x, n_y, n, 1) + values.tobytes()
+            + struct.pack("<I", len(text)) + text + bytes(4))
+    return _resealed(path, blob)
+
+
+_ZERO_DIMS = {
+    "d_v=0": dict(d_u=1, d_v=0, n_x=16, n_y=16, n=20),
+    "N_x=0": dict(d_u=1, d_v=1, n_x=0, n_y=16, n=20),
+}
+
+
+@pytest.mark.parametrize("dims", _ZERO_DIMS.values(), ids=_ZERO_DIMS.keys())
+def test_odn1_with_a_zero_dimension_exits_3(dims, anti_config, tmp_path, capsys):
+    data = _zeros_odn1(tmp_path / "zero.odn", **dims)
+    _exits_data_error(["train", anti_config, data, "--out", str(tmp_path / "run")], capsys)
+    assert not list(tmp_path.glob("*.odm"))

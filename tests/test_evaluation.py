@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odnet import autodiff as ad
 from odnet.errors import DataError, ShapeError
 from odnet.evaluation import (
     EvalReport,
@@ -15,9 +14,7 @@ from odnet.evaluation import (
     vector_field_magnitude,
 )
 from odnet.networks import MLPConfig, init_mlp
-from odnet.partition import Patch, PatchSet
-from odnet.pod import compute_pod
-from odnet.trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk
+from odnet.trunks import EnsembleModel, VanillaTrunk
 
 
 def test_relative_l2_trivials():
@@ -158,30 +155,6 @@ def test_report_summary_and_csv(tmp_path):
     rows = mse_csv.read_text().strip().splitlines()
     assert rows[0] == "y1,y2,mse"
     assert len(rows) == 3
-
-
-def test_evaluate_model_accepts_a_binding():
-    # a binding made once gives the same bytes as passing the locations
-    rng = np.random.default_rng(21)
-    y = rng.uniform(-1, 1, size=(12, 2))
-    snapshots = rng.normal(size=(8, 12)) + 2.0
-    pou = PoUTrunk(
-        PatchSet([Patch([-0.5, 0.0], 1.5), Patch([0.5, 0.0], 1.5)]),
-        [init_mlp(MLPConfig(2, (6,), 3, "tanh", True), k) for k in range(2)], 3,
-    )
-    members = [
-        VanillaTrunk(init_mlp(MLPConfig(2, (6,), 2, "tanh", True), 3)),
-        PODTrunk(compute_pod(snapshots, 3, y_locations=y), 3, modified=False),
-        pou,
-    ]
-    model = EnsembleModel(members, init_mlp(MLPConfig(5, (6,), 8, "tanh", False), 4),
-                          ad.Tensor(np.array(0.2), requires_grad=True))
-    u = rng.uniform(-1, 1, size=(7, 5))
-    v = rng.normal(size=(7, 12)) + 3.0
-    direct = evaluate_model(model, u, v, y)
-    bound = evaluate_model(model, u, v, model.bind(y))
-    assert bound.per_function.tobytes() == direct.per_function.tobytes()
-    assert bound.spatial_mse_field.tobytes() == direct.spatial_mse_field.tobytes()
 
 
 def test_evaluate_model_rejects_vector_targets():

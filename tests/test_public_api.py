@@ -2,6 +2,7 @@
 
 import inspect
 import re
+from pathlib import Path
 
 import odnet
 from odnet import autodiff as ad
@@ -25,3 +26,12 @@ def test_autodiff_ops_match_the_documented_op_list():
     # and the count the docstring states in words
     words = "zero one two three four five six seven eight nine ten eleven twelve".split()
     assert f"{words[len(documented)]} ops" in " ".join(doc.split())
+
+
+def test_readme_code_uses_exported_names_only():
+    # every odnet.<name> in a README code block is in odnet.__all__
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    used = {name for block in blocks for name in re.findall(r"\bodnet\.([A-Za-z_]\w*)", block)}
+    assert used  # the usage example is still there
+    assert sorted(used - set(odnet.__all__)) == []

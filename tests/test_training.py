@@ -165,12 +165,9 @@ class _OneParamLinear:
     def __init__(self, w0=0.0):
         self.w = ad.Tensor(np.array([[w0]]), requires_grad=True)
 
-    def bind(self, y):
-        # all this model needs of the locations: a (n_y, 1) column of ones
-        return ad.Tensor(np.ones((np.asarray(y).shape[0], 1)))
-
     def predict(self, u, y, tape=None):
-        ones = y if isinstance(y, ad.Tensor) else self.bind(y)
+        # all this model needs of the locations: a (n_y, 1) column of ones
+        ones = ad.Tensor(np.ones((np.asarray(y).shape[0], 1)))
         coef = ad.linear(ad.as_tensor(u), self.w, ad.Tensor(np.zeros(1)), tape)  # (n, 1)
         return ad.matmul_nt(coef, ones, tape)  # coef @ ones^T
 
@@ -306,7 +303,7 @@ def test_gradient_flow_completeness_on_pou():
 @pytest.mark.parametrize("batch_size", [0, 4])
 def test_pou_weights_computed_once_per_train(monkeypatch, batch_size):
     # Y is fixed for the run, so its PoU weights and index sets are worked
-    # out once by model.bind, not once per epoch or batch
+    # out once, on the first step, not once per epoch or batch
     import odnet.trunks
 
     calls = []

@@ -43,6 +43,11 @@ def make_branch(n_x, total_p, seed=5, activation="tanh"):
     )
 
 
+def trunk_at(model, y):
+    """The stacked trunk matrix at ``y``, each member bound afresh."""
+    return model.trunk_forward(tuple(m.bind(y) for m in model.members)).data
+
+
 def test_pou_single_active_expert_equals_expert():
     trunk = make_pou()
     # strictly inside patch 0 only
@@ -87,7 +92,7 @@ def test_ensemble_width_law():
     members = [make_vanilla(p=2, seed=0), make_vanilla(p=3, seed=1)]
     model = EnsembleModel(members, make_branch(6, 5), ad.Tensor(np.zeros(()), requires_grad=True))
     y = np.random.default_rng(0).uniform(-1, 1, size=(4, 2))
-    assert model.trunk_forward(model.bind(y)).data.shape == (4, 5)
+    assert trunk_at(model, y).shape == (4, 5)
     assert model.total_p == sum(m.p for m in members) == model.branch.config.output_dim
 
 
@@ -95,7 +100,7 @@ def test_single_member_trunk_identical_to_member():
     member = make_vanilla(p=4, seed=2)
     model = EnsembleModel([member], make_branch(5, 4), None)
     y = np.random.default_rng(1).uniform(-1, 1, size=(6, 2))
-    np.testing.assert_array_equal(model.trunk_forward(model.bind(y)).data, member.forward(y).data)
+    np.testing.assert_array_equal(trunk_at(model, y), member.forward(y).data)
 
 
 def test_full_scale_widths_vanilla_pod():
@@ -111,7 +116,7 @@ def test_full_scale_widths_vanilla_pod():
         ad.Tensor(np.zeros(()), requires_grad=True),
     )
     assert model.total_p == 120
-    assert model.trunk_forward(model.bind(y_locs)).data.shape == (40, 120)
+    assert trunk_at(model, y_locs).shape == (40, 120)
 
 
 def test_p_plus_one_vanilla_width_700():
@@ -234,8 +239,9 @@ def test_pod_row_lookup_is_exact_bytes():
 
 
 def test_reused_binding_sees_in_place_weight_changes():
-    # a binding holds the experts, not their outputs: after training-style
-    # in-place updates it predicts what a fresh bind does, bit for bit
+    # the parts a model keeps for Y hold the experts, not their outputs:
+    # after training-style in-place updates a taped prediction from them
+    # is what a model that never served Y predicts, bit for bit
     rng = np.random.default_rng(20)
     y = rng.uniform(0.0, 1.0, size=(12, 2))
     pod = _pod_member(y, modified=False)
@@ -244,14 +250,13 @@ def test_reused_binding_sees_in_place_weight_changes():
     model = EnsembleModel([vanilla, pod, pou], make_branch(4, 8, seed=23),
                           ad.Tensor(np.array(0.1), requires_grad=True))
     u = rng.uniform(-1, 1, size=(3, 4))
-    bound = model.bind(y)
-    assert model.predict(u, bound).data.tobytes() == model.predict(u, y).data.tobytes()
+    taped = model.predict(u, y, ad.Tape()).data
+    assert taped.tobytes() == _unserved(model, u, y).tobytes()
     for t in model.parameters():
         t.data += 0.01 * rng.normal(size=t.data.shape)
-    assert model.predict(u, bound).data.tobytes() == model.predict(u, y).data.tobytes()
-    other = EnsembleModel([vanilla], make_branch(4, 2), None)
-    with pytest.raises(ValueError, match="another model"):
-        other.predict(u, bound)
+    taped = model.predict(u, y, ad.Tape()).data
+    assert taped.tobytes() == _unserved(model, u, y).tobytes()
+    assert taped.tobytes() == model.predict(u, y).data.tobytes()
 
 
 def test_pod_member_has_no_parameters():
@@ -383,7 +388,7 @@ def test_checkpointable_parameter_hash_changes():
     assert model.parameter_hash() != h1
 
 
-# --- the untaped trunk cache ---
+# --- the entry for the last locations served ---
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -399,18 +404,19 @@ def _bundled(name):
     return cfg, ds, build_model(cfg, ds, train_idx, seed=0)
 
 
-def _uncached(model, u, y):
-    # a taped prediction never reads or fills the cache
-    return model.predict(u, model.bind(y), ad.Tape()).data
+def _unserved(model, u, y):
+    """A taped prediction by a model over the same networks that has
+    served no locations yet: it binds and evaluates the trunk afresh."""
+    return EnsembleModel(model.members, model.branch, model.bias).predict(u, y, ad.Tape()).data
 
 
 def _count_trunk_forwards(model):
     calls = []
     inner = model.trunk_forward
 
-    def counting(bound, tape=None):
+    def counting(parts, tape=None):
         calls.append(tape)
-        return inner(bound, tape)
+        return inner(parts, tape)
 
     model.trunk_forward = counting
     return calls
@@ -431,8 +437,8 @@ def test_cached_and_uncached_predictions_are_the_same_bytes(name):
     first = model.predict(ds.U, ds.Y).data
     second = model.predict(ds.U[::-1], ds.Y.copy()).data  # equal bytes: a hit
     assert calls == [None]
-    assert first.tobytes() == _uncached(model, ds.U, ds.Y).tobytes()
-    assert second.tobytes() == _uncached(model, ds.U[::-1], ds.Y).tobytes()
+    assert first.tobytes() == _unserved(model, ds.U, ds.Y).tobytes()
+    assert second.tobytes() == _unserved(model, ds.U[::-1], ds.Y).tobytes()
 
 
 def _reloaded_prediction(model, cfg, ds, path):
@@ -468,18 +474,47 @@ def test_locations_changed_in_place_are_bound_again():
     before = model.predict(u, y).data
     y[:] = y_grid[::-1]  # still on the POD grid, in another order
     after = model.predict(u, y).data
-    assert after.tobytes() == _uncached(model, u, y_grid[::-1]).tobytes()
+    assert after.tobytes() == _unserved(model, u, y_grid[::-1]).tobytes()
     assert after.tobytes() == before[:, ::-1].tobytes()
-    # and back through a binding, which is keyed by itself
-    bound = model.bind(y_grid)
-    assert model.predict(u, bound).data.tobytes() == before.tobytes()
+    # and back at a new array of the first bytes, taped and untaped
+    assert model.predict(u, y_grid.copy(), ad.Tape()).data.tobytes() == before.tobytes()
+    assert model.predict(u, y_grid.copy()).data.tobytes() == before.tobytes()
+
+
+def test_an_edit_of_served_locations_reaches_no_member():
+    # the entry keeps its own copy of Y: shifting the caller's array after
+    # a call moves neither the vanilla, the POD nor the PoU part of it
+    rng = np.random.default_rng(35)
+    y_grid = rng.uniform(-0.9, 0.9, size=(12, 2))
+    model = _mixed_model(y_grid)
+    u = rng.uniform(-1, 1, size=(3, 4))
+    y = y_grid.copy()
+    first = model.predict(u, y).data
+    y[:, 0] += 0.05
+    assert model.predict(u, y_grid.copy(), ad.Tape()).data.tobytes() == first.tobytes()
+    assert model.predict(u, y_grid.copy()).data.tobytes() == first.tobytes()
+
+
+def test_a_taped_call_elsewhere_replaces_the_entry(tmp_path):
+    # untaped at Y1, a taped step at Y2, then untaped at Y1 again: the
+    # last call binds Y1 anew and predicts what a reloaded model does
+    cfg, ds, model = _bundled("rd2d-vanilla-pod-pou.ini")
+    first = model.predict(ds.U, ds.Y).data
+    optimizer = make_optimizer(model, cfg.train)
+    tape = ad.Tape()
+    half = ds.Y[::2]
+    tape.backward(mse_loss(model.predict(ds.U, half, tape), ds.scalar_targets()[:, ::2], tape))
+    optimizer.step(1e-2)
+    again = model.predict(ds.U, ds.Y).data
+    assert again.tobytes() != first.tobytes()
+    assert again.tobytes() == _reloaded_prediction(model, cfg, ds, tmp_path / "a.odm").tobytes()
 
 
 def test_cached_trunk_is_read_only():
     y = np.random.default_rng(32).uniform(-0.9, 0.9, size=(10, 2))
     model = _mixed_model(y)
     model.predict(np.ones((2, 4)), y)
-    trunk = model._trunk_cache.trunk.data
+    trunk = model._served.trunk.data
     assert trunk.shape == (10, 8) and not trunk.flags.writeable
     with pytest.raises(ValueError):
         trunk[0, 0] = 1.0
@@ -514,14 +549,14 @@ def test_taped_gradients_match_finite_differences_through_the_cache():
 
 
 def test_model_that_served_predictions_is_freed_without_gc():
-    # the cache must not point back at its model: a cycle would keep every
+    # the entry must not point back at its model: a cycle would keep every
     # dead model alive until the cyclic collector runs
     y = np.random.default_rng(34).uniform(-0.9, 0.9, size=(10, 2))
     gc.disable()
     try:
         model = _mixed_model(y)
         model.predict(np.ones((2, 4)), y)
-        model.predict(np.ones((2, 4)), model.bind(y))
+        model.predict(np.ones((2, 4)), y, ad.Tape())
         model.predict(np.ones((2, 4)), y)
         ref = weakref.ref(model)
         del model
