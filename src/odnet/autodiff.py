@@ -1,12 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The op set is deliberately small and shaped by the DeepONet hot path.
-It has ten ops:
+It has eight ops:
 
 - ``linear`` (a dense layer, ``x @ w + b``),
-- ``matmul_nt`` (the ``branch @ trunk^T`` product, without a transpose),
+- ``matmul_nt`` (the ``branch @ trunk^T`` product, without a transpose,
+  with the model's scalar bias and constant offset row added in place),
 - ``mse`` (the training loss, from one residual),
-- ``add_scalar`` and ``add_row_const`` (broadcasts),
 - ``scatter_add_rows`` (PoU blending) and ``concat_columns`` (trunk
   stacking),
 - ``relu``, ``leaky_relu`` and ``tanh`` (activations).
@@ -19,7 +19,7 @@ record list is automatically in topological order and ``Tape.backward``
 is a single reverse sweep that touches each node exactly once.
 
 Everything is 64-bit and row-major. There is no broadcasting beyond the
-explicit bias/row/scalar ops below.
+explicit bias, scalar and row adds of ``linear`` and ``matmul_nt``.
 """
 
 from __future__ import annotations
@@ -171,10 +171,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def matmul_nt(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """a @ b^T without a transposed copy of b: (m, k) x (n, k) -> (m, n).
+def matmul_nt(a: Tensor, b: Tensor, tape: Tape | None = None, *,
+              bias: Tensor | None = None, offset=None) -> Tensor:
+    """a @ b^T without a transposed copy of b: (m, k) x (n, k) -> (m, n),
+    then, in place and in this order, an optional 0-d ``bias`` added to
+    every entry and an optional constant (n,) ``offset`` row added to every
+    row (no gradient to it). Each add rounds as a separate ``+`` would.
 
-    Backward: grad_a = g b, grad_b = gT a.
+    Backward: grad_a = g b, grad_b = gT a, grad_bias = sum of g.
     """
     _check_2d(a, "matmul_nt")
     _check_2d(b, "matmul_nt")
@@ -182,17 +186,33 @@ def matmul_nt(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ShapeError(
             f"matmul_nt: inner dimensions disagree ({a.data.shape[1]} vs {b.data.shape[1]})"
         )
-    out = Tensor(a.data @ b.data.T)
-    if tape is not None and (a._tracked or b._tracked):
+    if bias is not None and bias.data.ndim != 0:
+        raise ShapeError(f"matmul_nt: bias must be 0-d, got shape {bias.data.shape}")
+    if offset is not None:
+        offset = np.asarray(offset, dtype=np.float64)
+        if offset.shape != (b.data.shape[0],):
+            raise ShapeError(
+                f"matmul_nt: offset shape {offset.shape} does not match the "
+                f"{b.data.shape[0]} columns of the product"
+            )
+    data = a.data @ b.data.T
+    if bias is not None:
+        data += bias.data
+    if offset is not None:
+        data += offset
+    out = Tensor(data)
+    need_s = bias is not None and bias._tracked
+    if tape is not None and (a._tracked or b._tracked or need_s):
         adata, bdata = a.data, b.data
         need_a, need_b = a._tracked, b._tracked
 
         def backward_fn(g):
             ga = g @ bdata if need_a else None
             gb = g.T @ adata if need_b else None
-            return ga, gb
+            gs = np.asarray(g.sum()) if need_s else None
+            return ga, gb, gs
 
-        tape.record(out, (a, b), backward_fn)
+        tape.record(out, (a, b, bias), backward_fn)
     return out
 
 
@@ -215,37 +235,6 @@ def mse(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
             return (gp if need_p else None, -gp if need_t else None)
 
         tape.record(out, (pred, target), backward_fn)
-    return out
-
-
-def add_scalar(a: Tensor, s: Tensor, tape: Tape | None = None) -> Tensor:
-    """Broadcast-add a 0-d tensor (e.g. the trainable output bias)."""
-    if s.data.ndim != 0:
-        raise ShapeError(f"add_scalar: expected a 0-d tensor, got shape {s.data.shape}")
-    out = Tensor(a.data + s.data)
-    if tape is not None and (a._tracked or s._tracked):
-        need_a, need_s = a._tracked, s._tracked
-
-        def backward_fn(g):
-            ga = g if need_a else None
-            gs = np.asarray(g.sum()) if need_s else None
-            return ga, gs
-
-        tape.record(out, (a, s), backward_fn)
-    return out
-
-
-def add_row_const(a: Tensor, v: np.ndarray, tape: Tape | None = None) -> Tensor:
-    """Add a constant row vector to every row of ``a`` (no gradient to v)."""
-    _check_2d(a, "add_row_const")
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != a.data.shape[1]:
-        raise ShapeError(
-            f"add_row_const: vector shape {v.shape} does not match columns of {a.data.shape}"
-        )
-    out = Tensor(a.data + v[None, :])
-    if tape is not None and a._tracked:
-        tape.record(out, (a,), lambda g: (g,))
     return out
 
 

@@ -30,24 +30,23 @@ def mean_relative_l2(preds, truths) -> float:
 
 def per_function_relative_l2(preds, truths) -> np.ndarray:
     """``relative_l2`` of each row, bit for bit: a row's norm is
-    ``sqrt(r.dot(r))``, which is what ``np.linalg.norm`` computes for a
-    1-d float array."""
+    ``sqrt(np.vecdot(r, r))``, one BLAS dot per row, which is what
+    ``np.linalg.norm`` computes for a 1-d float array. The rows are made
+    C-contiguous first because ``np.linalg.norm`` ravels its argument into
+    one contiguous vector, and a dot over strided rows may sum in another
+    order."""
     preds = np.asarray(preds, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if preds.shape != truths.shape:
         raise ShapeError(f"shapes {preds.shape} and {truths.shape} differ")
-    # contiguous rows, as np.linalg.norm ravels its argument: a strided
-    # BLAS dot may sum in another order
     preds = np.ascontiguousarray(preds.reshape(preds.shape[0], -1))
     truths = np.ascontiguousarray(truths.reshape(truths.shape[0], -1))
-    out = np.empty(preds.shape[0])
-    for i, (p, t) in enumerate(zip(preds, truths)):
-        denom = np.sqrt(t.dot(t))
-        if denom == 0.0:
-            raise DataError(f"function {i}: relative_l2: degenerate truth vector with zero norm")
-        r = p - t
-        out[i] = np.sqrt(r.dot(r)) / denom
-    return out
+    denom = np.sqrt(np.vecdot(truths, truths))
+    zero = np.flatnonzero(denom == 0.0)
+    if zero.size:
+        raise DataError(f"function {zero[0]}: relative_l2: degenerate truth vector with zero norm")
+    r = preds - truths
+    return np.sqrt(np.vecdot(r, r)) / denom
 
 
 def vector_field_magnitude(field) -> np.ndarray:
@@ -68,7 +67,8 @@ def spatial_mse(preds, truths) -> np.ndarray:
     if preds.shape != truths.shape:
         raise ShapeError(f"spatial_mse: shapes {preds.shape} and {truths.shape} differ")
     diff = preds - truths
-    return (diff * diff).mean(axis=0)
+    diff *= diff
+    return diff.mean(axis=0)
 
 
 @dataclass
@@ -101,6 +101,9 @@ class EvalReport:
 
     def spatial_mse_csv(self, path, y_locations):
         y = np.asarray(y_locations, dtype=np.float64)
+        if y.ndim != 2 or y.shape[0] != len(self.spatial_mse_field):
+            raise ShapeError(f"spatial_mse_csv: locations of shape {y.shape} "
+                             f"for {len(self.spatial_mse_field)} spatial MSE values")
         with open(path, "w") as fh:
             head = ",".join(f"y{j + 1}" for j in range(y.shape[1]))
             fh.write(f"{head},mse\n")

@@ -27,11 +27,11 @@ untaped call also keeps the trunk matrix (read-only) in the entry, with
 the bytes of every trunk-member parameter it was computed from. It reuses
 the matrix while every trunk parameter is byte-for-byte unchanged; an
 optimizer step or an in-place edit evaluates the trunk again, and a new Y
-(or the same array changed in place) replaces the entry. The branch, the
-product, the bias and the offset run on every call, so outputs are the
-same bits either way. POD columns are constants of the basis and are not
-checked. The entry holds no reference to its model, so a dead model is
-freed at once.
+(or the same array changed in place) replaces the entry. The branch and
+one product, with the bias and the offset added in place, run on every
+call, so outputs are the same bits either way. POD columns are constants
+of the basis and are not checked. The entry holds no reference to its
+model, so a dead model is freed at once.
 """
 
 from __future__ import annotations
@@ -317,12 +317,7 @@ class EnsembleModel:
                 trunk.data.flags.writeable = False
                 entry = self._served = entry._replace(trunk=trunk, state=state)
             trunk_out = entry.trunk
-        pred = ad.matmul_nt(branch_out, trunk_out, tape)
-        if self.bias is not None:
-            pred = ad.add_scalar(pred, self.bias, tape)
-        if entry.offset is not None:
-            pred = ad.add_row_const(pred, entry.offset, tape)
-        return pred
+        return ad.matmul_nt(branch_out, trunk_out, tape, bias=self.bias, offset=entry.offset)
 
     def parameters(self):
         params = [t for m in self.members for t in m.parameters()]

@@ -35,6 +35,11 @@ def _unit_loss(t, tape):
     return ad.mse(t, ad.Tensor(t.data - 0.5), tape)
 
 
+def _as_2d(s, tape):
+    """A 0-d tensor s as (1, 1): the zero product 0 0^T with bias s."""
+    return ad.matmul_nt(_zeros(1, 1), _zeros(1, 1), tape, bias=s)
+
+
 def _total(t, tape):
     """Sum of every entry of a 2-d tensor, as (1, 1): ones^T t ones."""
     rows, cols = t.data.shape
@@ -78,6 +83,14 @@ def test_matmul_shape_mismatch():
     for a, b in ((_zeros(2, 3), _zeros(3, 2)), (_zeros(3), _zeros(2, 3)), (_zeros(2, 3), _zeros(3))):
         with pytest.raises(ShapeError, match="matmul_nt"):
             ad.matmul_nt(a, b)
+    # matmul_nt: a bias that is not 0-d, an offset that is not one row of
+    # the (2, 4) product
+    for bias in (_zeros(1), _zeros(1, 1)):
+        with pytest.raises(ShapeError, match="matmul_nt: bias"):
+            ad.matmul_nt(_zeros(2, 3), _zeros(4, 3), bias=bias)
+    for offset in (np.zeros(3), np.zeros((1, 4)), np.zeros(())):
+        with pytest.raises(ShapeError, match="matmul_nt: offset"):
+            ad.matmul_nt(_zeros(2, 3), _zeros(4, 3), offset=offset)
 
 
 def test_linear_matches_numpy_bit_for_bit():
@@ -97,17 +110,33 @@ def test_linear_matches_numpy_bit_for_bit():
 
 
 def test_matmul_nt_matches_numpy_bit_for_bit():
+    # the bias and the offset row are added in place after the product, in
+    # that order, with the bits of two separate numpy adds
     rng = np.random.default_rng(22)
     a = ad.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+    s = ad.Tensor(np.array(rng.normal()), requires_grad=True)
+    v = rng.normal(size=9)
     target = rng.normal(size=(6, 9))
-    tape = ad.Tape()
-    out = ad.matmul_nt(a, b, tape)
-    assert out.data.tobytes() == (a.data @ b.data.T).tobytes()
-    tape.backward(ad.mse(out, ad.Tensor(target), tape))
-    g = (out.data - target) * (2.0 / out.size)
-    np.testing.assert_array_equal(a.grad, g @ b.data)
-    np.testing.assert_array_equal(b.grad, g.T @ a.data)
+    product = a.data @ b.data.T
+    for bias, offset, reference in ((None, None, product),
+                                    (s, None, product + s.data),
+                                    (None, v, product + v[None, :]),
+                                    (s, v, (product + s.data) + v[None, :])):
+        for t in (a, b, s):
+            t.zero_grad()
+        tape = ad.Tape()
+        out = ad.matmul_nt(a, b, tape, bias=bias, offset=offset)
+        assert out.data.tobytes() == reference.tobytes()
+        tape.backward(ad.mse(out, ad.Tensor(target), tape))
+        g = (out.data - target) * (2.0 / out.size)
+        np.testing.assert_array_equal(a.grad, g @ b.data)
+        np.testing.assert_array_equal(b.grad, g.T @ a.data)
+        if bias is None:
+            assert s.grad is None
+        else:
+            assert s.grad.shape == ()
+            assert s.grad.tobytes() == np.asarray(g.sum()).tobytes()
 
 
 def test_mse_matches_numpy_bit_for_bit():
@@ -322,7 +351,7 @@ def test_backward_linearity():
     w.zero_grad()
     tape = ad.Tape()
     l1, l2 = losses(tape)
-    both = ad.concat_columns([ad.add_scalar(_zeros(1, 1), l1, tape), l2], tape)
+    both = ad.concat_columns([_as_2d(l1, tape), l2], tape)
     combined = ad.linear(both, ad.Tensor([[a], [b]]), _zeros(1), tape)
     tape.backward(_unit_loss(combined, tape))
     np.testing.assert_allclose(w.grad, a * g1 + b * g2, atol=1e-12)
@@ -336,7 +365,7 @@ def test_backward_visits_each_node_once():
     shared = ad.tanh(w, tape)
     a = ad.mse(shared, _zeros(1, 2), tape)  # sum of squares / 2
     b = _total(ad.scatter_add_rows([(shared, [0], [1.0]), (shared, [0], [1.0])], 1, tape), tape)
-    both = ad.concat_columns([ad.add_scalar(_zeros(1, 1), a, tape), b], tape)
+    both = ad.concat_columns([_as_2d(a, tape), b], tape)
     loss = ad.linear(both, ad.Tensor([[2.0], [1.0]]), _zeros(1), tape)
     tape.backward(_unit_loss(loss, tape))
     t = np.tanh(w.data)
@@ -363,7 +392,7 @@ def test_determinism_bit_identical():
 
 def test_structural_ops_match_finite_differences():
     # exercises scatter_add_rows (one input in two overlapping parts),
-    # concat_columns, add_scalar, and the fused linear, matmul_nt and mse
+    # concat_columns, and the fused linear, matmul_nt (with a bias) and mse
     # with every input tracked
     rng = np.random.default_rng(5)
     a = ad.Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
@@ -383,7 +412,7 @@ def test_structural_ops_match_finite_differences():
         placed = ad.scatter_add_rows([(act, idx, w), (act, idx2, w2)], 5, tape)  # (5, 3)
         right = ad.linear(placed, m, c, tape)                              # (5, 2)
         cat = ad.concat_columns([placed, right], tape)                     # (5, 5)
-        t = ad.add_scalar(ad.matmul_nt(cat, q, tape), s, tape)             # (5, 4)
+        t = ad.matmul_nt(cat, q, tape, bias=s)                             # (5, 4)
         return ad.mse(t, target, tape)
 
     tape = ad.Tape()
@@ -401,8 +430,10 @@ def test_add_bias_and_row_const_backward():
     v = rng.uniform(-1, 1, size=3)
 
     def forward(tape=None):
-        # a @ I is exact, so linear(a, I, b) is the bias add a + b
-        out = ad.add_row_const(ad.linear(a, ad.Tensor(np.eye(3)), b, tape), v, tape)
+        # a @ I and a @ I^T are exact, so this is (a + b) + v: linear's bias
+        # add, then matmul_nt's constant offset row
+        eye = ad.Tensor(np.eye(3))
+        out = ad.matmul_nt(ad.linear(a, eye, b, tape), eye, tape, offset=v)
         return ad.mse(out, _zeros(4, 3), tape)
 
     tape = ad.Tape()

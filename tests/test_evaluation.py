@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from odnet.evaluation import (
     vector_field_magnitude,
 )
 from odnet.networks import MLPConfig, init_mlp
+from odnet.runconfig import split_indices
 from odnet.trunks import EnsembleModel, VanillaTrunk
+from test_trunks import CONFIG_DIR, _bundled
 
 
 def test_relative_l2_trivials():
@@ -157,6 +161,15 @@ def test_report_summary_and_csv(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_spatial_mse_csv_rejects_a_location_count_mismatch(tmp_path, rows):
+    report = EvalReport("toy", "m", np.array([0.01]), np.array([0.5, 0.25]), 0.0)
+    path = tmp_path / "mse.csv"
+    with pytest.raises(ShapeError, match=rf"\({rows}, 2\) for 2 spatial MSE values"):
+        report.spatial_mse_csv(path, np.zeros((rows, 2)))
+    assert not path.exists()
+
+
 def test_evaluate_model_rejects_vector_targets():
     # callers pass magnitudes (OperatorDataset.scalar_targets); a vector
     # field is a shape mismatch with the (N, N_y) predictions
@@ -165,3 +178,33 @@ def test_evaluate_model_rejects_vector_targets():
     u, y = np.ones((2, 3)), np.linspace(0, 1, 5)[:, None]
     with pytest.raises(ShapeError):
         evaluate_model(model, u, np.ones((2, 5, 2)), y)
+
+
+# crc32 of (per_function, spatial_mse_field) for each bundled config at
+# initialization (seed 0), on the held-out quarter of a small dataset of
+# its generator: rd2d at n=8 with 16 samples, the antiderivative config's
+# own data. The same at one and two BLAS threads.
+GOLDEN_EVAL_CRCS = {
+    "antiderivative-vanilla.ini": (0xd660d798, 0x8a5ce9e5),
+    "rd2d-modified-pod.ini": (0x8542d141, 0x0d86ed7f),
+    "rd2d-p-plus-1-vanilla.ini": (0x86682ef9, 0x164c1768),
+    "rd2d-pod-pou.ini": (0x11d2a103, 0xa1ef7b2d),
+    "rd2d-pod.ini": (0x35a06bbb, 0xc992f3bb),
+    "rd2d-vanilla-pod-pou.ini": (0xa797e159, 0x21be31db),
+    "rd2d-vanilla-pod.ini": (0x87765c1b, 0xbade073e),
+    "rd2d-vanilla-pou.ini": (0x6ae1d650, 0x10a5376c),
+    "rd2d-vanilla.ini": (0x9e1a190d, 0x9fcee224),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+def test_evaluate_model_golden_bytes(name):
+    # the first call and the repeated one, which reuses the trunk matrix
+    _, ds, model = _bundled(name)
+    _, test_idx = split_indices(ds.n_samples, ds.n_samples // 4, 0)
+    v = ds.scalar_targets()[test_idx]
+    for _ in range(2):
+        report = evaluate_model(model, ds.U[test_idx], v, ds.Y)
+        crcs = (zlib.crc32(report.per_function.tobytes()),
+                zlib.crc32(report.spatial_mse_field.tobytes()))
+        assert crcs == GOLDEN_EVAL_CRCS[name]
