@@ -23,7 +23,7 @@ from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, pa
                          pod_ranks, read_checkpoint_raw, save_checkpoint)
 from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
-from .evaluation import evaluate_model
+from .evaluation import evaluate_model, write_location_csv
 from .runconfig import build_model, generate_dataset, parse_config, split_indices
 from .training import OPTIMIZERS, train
 from .trunks import export_basis
@@ -168,14 +168,8 @@ def cmd_export_basis(args) -> int:
         values = export_basis(model, ds.Y, columns)
     except IndexError as exc:
         raise ConfigError(str(exc)) from None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        head = ",".join(f"y{j + 1}" for j in range(ds.d_v))
-        cols = ",".join(f"col{c}" for c in columns)
-        fh.write(f"{head},{cols}\n")
-        for i in range(ds.n_y):
-            coords = ",".join(f"{c:.17g}" for c in ds.Y[i])
-            vals = ",".join(f"{v:.17g}" for v in values[i])
-            fh.write(f"{coords},{vals}\n")
+    write_location_csv(args.out, ds.Y, [f"col{c}" for c in columns], values,
+                       "rows of basis columns")
     _write_manifest(args.out + ".manifest.txt", config_text, attrs.get("seed", "?"))
     print(f"wrote {args.out}: {len(columns)} column(s) over {ds.n_y} locations")
     return 0

@@ -100,16 +100,22 @@ class EvalReport:
                 fh.write(f"{i},{e:.17g}\n")
 
     def spatial_mse_csv(self, path, y_locations):
-        y = np.asarray(y_locations, dtype=np.float64)
-        if y.ndim != 2 or y.shape[0] != len(self.spatial_mse_field):
-            raise ShapeError(f"spatial_mse_csv: locations of shape {y.shape} "
-                             f"for {len(self.spatial_mse_field)} spatial MSE values")
-        with open(path, "w") as fh:
-            head = ",".join(f"y{j + 1}" for j in range(y.shape[1]))
-            fh.write(f"{head},mse\n")
-            for row, val in zip(y, self.spatial_mse_field):
-                coords = ",".join(f"{c:.17g}" for c in row)
-                fh.write(f"{coords},{val:.17g}\n")
+        write_location_csv(path, y_locations, ["mse"], self.spatial_mse_field[:, None],
+                           "spatial MSE values")
+
+
+def write_location_csv(path, y_locations, names, values, what: str):
+    """A ``y1..yd,<names>`` header, then per location its coordinates and
+    its row of ``values``, every number in ``%.17g`` so it reads back
+    exactly. ``what`` names the values when the locations are not 2-d
+    with one row per row of values (ShapeError; nothing is written)."""
+    y = np.asarray(y_locations, dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] != len(values):
+        raise ShapeError(f"locations of shape {y.shape} for {len(values)} {what}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([*(f"y{j + 1}" for j in range(y.shape[1])), *names]) + "\n")
+        for row in np.hstack([y, values]):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def evaluate_model(model, u_samples, v_targets, y_locations,

@@ -1,17 +1,22 @@
 """INI-style run configuration: parsing, strict validation, and assembly
 of datasets and models.
 
-Sections: [data] generator choice and parameters, [model] branch and the
-member list, one [trunk.<name>] section per member, [train] optimizer and
-schedule, [eval] the train/test split. Unknown sections or keys are
-configuration errors; nothing is silently ignored.
+Every key is one dataclass field, named as the key (``batch`` is
+``batch_size``): [data] takes DataSpec's fields, [model] RunConfig's
+members, branch_hidden and activation, [trunk.<name>] TrunkSpec's kind,
+p and what _TRUNK_KEYS lists for the kind, [train] TrainConfig's fields
+and RunConfig's seeds (the first is TrainConfig's seed), [eval]
+EvalSpec's. The field's default is the key's, its annotation picks the
+reader, and parse_config and RunConfig.text walk the same fields.
+Unknown sections or keys are errors; nothing is silently ignored.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -30,11 +35,11 @@ from .pod import compute_pod
 from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk
 from .training import TrainConfig
 
-# Keys each trunk kind takes besides kind and p, with their defaults.
+# Keys each trunk kind takes besides kind and p.
 _TRUNK_KEYS = {
-    "vanilla": {"hidden": (64, 64, 64)},
-    "pod": {"modified": True},
-    "pou": {"hidden": (64, 64, 64), "bbox": (), "grid": (), "select": None, "delta": 0.1},
+    "vanilla": ("hidden",),
+    "pod": ("modified",),
+    "pou": ("hidden", "bbox", "grid", "select", "delta"),
 }
 
 
@@ -45,12 +50,12 @@ class TrunkSpec:
     name: str
     kind: str  # vanilla | pod | pou
     p: int
-    hidden: tuple = ()
-    modified: bool = False
-    bbox: tuple = ()  # (lo1, hi1, lo2, hi2, ...)
-    grid: tuple = ()
-    select: tuple | None = None
-    delta: float = 0.0
+    hidden: tuple[int, ...] = (64, 64, 64)
+    modified: bool = True
+    bbox: tuple[float, ...] = ()  # (lo1, hi1, lo2, hi2, ...)
+    grid: tuple[int, ...] = ()
+    select: tuple[int, ...] | None = None
+    delta: float = 0.1
 
     def __post_init__(self):
         where = f"trunk {self.name!r}"
@@ -80,15 +85,15 @@ class TrunkSpec:
 
 @dataclass(frozen=True)
 class DataSpec:
-    generator: str
+    generator: str  # antiderivative | rd2d | file
     n: int = 240
     seed: int = 0
-    grid: int = 0  # generator-dependent default
+    grid: int = 0  # 0: the generator's own default
     modes: int = 5
-    branch_grid: int = 8
-    dt: float | None = None
-    nu: float = 0.1
-    t_final: float = 0.5
+    branch_grid: int = datamod.RDParams.branch_grid
+    dt: float | None = datamod.RDParams.dt
+    nu: float = datamod.RDParams.nu
+    t_final: float = datamod.RDParams.t_final
     path: str = ""
 
     def __post_init__(self):
@@ -110,11 +115,11 @@ class EvalSpec:
 @dataclass(frozen=True)
 class RunConfig:
     data: DataSpec
-    members: list
-    branch_hidden: tuple
-    activation: str
+    members: list[TrunkSpec]
     train: TrainConfig
-    seeds: list
+    seeds: list[int] = field(default_factory=lambda: [TrainConfig.seed])
+    branch_hidden: tuple[int, ...] = (64, 64)
+    activation: str = "tanh"
     eval: EvalSpec = field(default_factory=EvalSpec)
 
     def __post_init__(self):
@@ -129,26 +134,20 @@ class RunConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("[train] seeds must list at least one seed, all >= 0")
+        if self.train.seed != self.seeds[0]:
+            raise ConfigError(f"[train] seeds[0] {self.seeds[0]} != train.seed {self.train.seed}")
 
     @property
     def text(self) -> str:
         """Canonical INI form of the fields: every section, only the keys
         of each trunk's kind, floats via repr. Comments and key order of
         a parsed source are not kept; parse_config(cfg.text) == cfg."""
-        t = self.train
         sections = [
-            ("data", [(f.name, getattr(self.data, f.name)) for f in fields(DataSpec)]),
-            ("model", [("members", [m.name for m in self.members]),
-                       ("branch_hidden", self.branch_hidden),
-                       ("activation", self.activation)]),
-            *((f"trunk.{m.name}", [("kind", m.kind), ("p", m.p)]
-               + [(k, getattr(m, k)) for k in _TRUNK_KEYS[m.kind]])
-              for m in self.members),
-            ("train", [("epochs", t.epochs), ("optimizer", t.optimizer), ("lr0", t.lr0),
-                       ("gamma", t.gamma), ("decay_step", t.decay_step),
-                       ("weight_decay", t.weight_decay), ("batch", t.batch_size),
-                       ("seeds", self.seeds)]),
-            ("eval", [(f.name, getattr(self.eval, f.name)) for f in fields(EvalSpec)]),
+            ("data", _pairs(self.data, _DATA_KEYS)),
+            ("model", _pairs(self, _MODEL_KEYS)),
+            *((f"trunk.{m.name}", _pairs(m, _TRUNK_SECTION[m.kind])) for m in self.members),
+            ("train", _pairs(self.train, _TRAIN_KEYS) + _pairs(self, _SEEDS_KEY)),
+            ("eval", _pairs(self.eval, _EVAL_KEYS)),
         ]
         return "\n".join(
             f"[{name}]\n" + "".join(
@@ -164,6 +163,8 @@ def _format(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return " ".join(_format(v) for v in value)
+    if isinstance(value, TrunkSpec):
+        return value.name
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -182,49 +183,62 @@ def _floats(raw: str):
     return tuple(_float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+# Field annotation -> reader of the raw INI value.
+_READERS = {
+    str: str.strip, int: int, float: _float, float | None: _float,
+    bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()],
+    tuple[int, ...]: _ints, tuple[float, ...]: _floats,
+    tuple[int, ...] | None: lambda raw: _ints(raw) or None,
+    list[int]: lambda raw: list(_ints(raw)),
+    list[TrunkSpec]: lambda raw: raw.replace(",", " ").split(),  # member names
+}
+_KEY = {"batch_size": "batch"}  # the one field whose key is not its name
 
 
-_DATA_READERS = {
-    "generator": str.strip, "n": int, "seed": int, "grid": int, "modes": int,
-    "branch_grid": int, "dt": _float, "nu": _float, "t_final": _float, "path": str.strip,
-}
-_MODEL_READERS = {
-    "members": lambda raw: raw.replace(",", " ").split(),
-    "branch_hidden": _ints,
-    "activation": str.strip,
-}
-_TRUNK_READERS = {
-    "p": int, "hidden": _ints, "modified": _bool, "bbox": _floats, "grid": _ints,
-    "select": lambda raw: _ints(raw) or None, "delta": _float,
-}
-_TRAIN_READERS = {
-    "epochs": int, "optimizer": str.strip, "lr0": _float, "gamma": _float,
-    "decay_step": int, "weight_decay": _float, "batch": int, "seeds": _ints,
-}
-_EVAL_READERS = {"test_count": int, "split_seed": int}
+def _keys(cls, *names) -> dict:
+    """INI key -> (field, reader) for the fields ``names`` of ``cls``, or
+    all of them, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return {_KEY.get(f.name, f.name): (f, _READERS[hints[f.name]])
+            for f in fields(cls) if not names or f.name in names}
 
 
-def _read(section, readers) -> dict:
-    """Convert the keys present in ``section``; an absent key keeps its
-    dataclass default. Unknown keys and unreadable values name the key."""
-    unknown = set(section) - set(readers)
+_DATA_KEYS = _keys(DataSpec)
+_MODEL_KEYS = _keys(RunConfig, "members", "branch_hidden", "activation")
+_TRUNK_SECTION = {kind: _keys(TrunkSpec, "kind", "p", *keys)
+                  for kind, keys in _TRUNK_KEYS.items()}
+# TrainConfig's seed is no key: parse_config sets it to seeds[0]
+_TRAIN_KEYS = {key: entry for key, entry in _keys(TrainConfig).items() if key != "seed"}
+_SEEDS_KEY = _keys(RunConfig, "seeds")
+_EVAL_KEYS = _keys(EvalSpec)
+
+
+def _pairs(spec, keys) -> list:
+    return [(key, getattr(spec, f.name)) for key, (f, _) in keys.items()]
+
+
+def _read(section, keys) -> dict:
+    """Field name -> value of each of ``keys``: read from ``section`` as its
+    field's annotation says, or else the field's default. Unknown keys,
+    unreadable values and absent keys without a default are errors that
+    name the key."""
+    unknown = set(section) - set(keys)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) in [{section.name}]: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"unknown key(s) in [{section.name}]: {', '.join(sorted(unknown))}")
     out = {}
-    for key, raw in section.items():
-        try:
-            out[key] = readers[key](raw)
-        except ValueError:
-            raise ConfigError(f"[{section.name}] {key}: cannot read {raw.strip()!r}") from None
+    for key, (f, reader) in keys.items():
+        if key in section:
+            try:
+                out[f.name] = reader(section[key])
+            except (ValueError, KeyError):
+                raise ConfigError(f"[{section.name}] {key}: cannot read "
+                                  f"{section[key].strip()!r}") from None
+        elif f.default is not MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not MISSING:
+            out[f.name] = f.default_factory()
+        else:
+            raise ConfigError(f"[{section.name}] {key} is required")
     return out
 
 
@@ -244,34 +258,27 @@ def parse_config(text: str) -> RunConfig:
         if sec not in parser:
             raise ConfigError(f"missing required section [{sec}]")
 
-    data = DataSpec(**{"generator": "", **_read(parser["data"], _DATA_READERS)})
-    model = _read(parser["model"], _MODEL_READERS)
-    member_names = model.get("members", [])
+    data = DataSpec(**_read(parser["data"], _DATA_KEYS))
+    model = _read(parser["model"], _MODEL_KEYS)
+    names = model.pop("members")
     members = []
-    for name in member_names:
+    for name in names:
         sec = f"trunk.{name}"
         if sec not in parser:
             raise ConfigError(f"member {name!r} has no [{sec}] section")
         members.append(_parse_trunk(name, parser[sec]))
-    declared = {f"trunk.{n}" for n in member_names}
+    declared = {f"trunk.{n}" for n in names}
     for sec in parser.sections():
         if sec.startswith("trunk.") and sec not in declared:
             raise ConfigError(f"section [{sec}] is not listed in [model] members")
 
-    train = _read(parser["train"], _TRAIN_READERS)
-    seeds = list(train.pop("seeds", (0,)))
-    if "batch" in train:
-        train["batch_size"] = train.pop("batch")
-    ev = _read(parser["eval"], _EVAL_READERS) if "eval" in parser else {}
-    return RunConfig(
-        data=data,
-        members=members,
-        branch_hidden=model.get("branch_hidden", (64, 64)),
-        activation=model.get("activation", "tanh"),
-        train=TrainConfig(**train, seed=seeds[0] if seeds else 0),
-        seeds=seeds,
-        eval=EvalSpec(**ev),
-    )
+    train = _read(parser["train"], {**_TRAIN_KEYS, **_SEEDS_KEY})
+    seeds = train.pop("seeds")
+    ev = _read(parser["eval"], _EVAL_KEYS) if "eval" in parser else {}
+    # RunConfig rejects an empty list
+    train = TrainConfig(**train, seed=seeds[0] if seeds else TrainConfig.seed)
+    return RunConfig(data=data, members=members, train=train, seeds=seeds, eval=EvalSpec(**ev),
+                     **model)
 
 
 def _parse_trunk(name: str, section) -> TrunkSpec:
@@ -279,26 +286,19 @@ def _parse_trunk(name: str, section) -> TrunkSpec:
     if kind not in _TRUNK_KEYS:
         raise ConfigError(f"trunk {name!r}: unknown kind {kind!r}")
     for key in section:
-        if key not in ("kind", "p", *_TRUNK_KEYS[kind]):
+        if key not in _TRUNK_SECTION[kind]:
             raise ConfigError(f"trunk {name!r}: key {key!r} not valid for kind={kind}")
-    values = _read(section, {"kind": str.strip, **_TRUNK_READERS})
-    return TrunkSpec(name=name, **{"p": 0, **_TRUNK_KEYS[kind], **values})
+    return TrunkSpec(name=name, **_read(section, _TRUNK_SECTION[kind]))
 
 
 def generate_dataset(spec: DataSpec) -> datamod.OperatorDataset:
     if spec.generator == "antiderivative":
-        grid = spec.grid if spec.grid else 64
-        return datamod.gen_antiderivative(
-            spec.n, n_modes=spec.modes, grid=grid, seed=spec.seed
-        )
+        return datamod.gen_antiderivative(spec.n, n_modes=spec.modes, seed=spec.seed,
+                                          **({"grid": spec.grid} if spec.grid else {}))
     if spec.generator == "rd2d":
-        params = datamod.RDParams(
-            nu=spec.nu,
-            t_final=spec.t_final,
-            n=spec.grid if spec.grid else 32,
-            dt=spec.dt,
-            branch_grid=spec.branch_grid,
-        )
+        params = datamod.RDParams(nu=spec.nu, t_final=spec.t_final, dt=spec.dt,
+                                  branch_grid=spec.branch_grid,
+                                  **({"n": spec.grid} if spec.grid else {}))
         return datamod.gen_reaction_diffusion_2d(params, spec.n, seed=spec.seed)
     return datamod.read_dataset(spec.path)
 

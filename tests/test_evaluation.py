@@ -14,6 +14,7 @@ from odnet.evaluation import (
     relative_l2,
     spatial_mse,
     vector_field_magnitude,
+    write_location_csv,
 )
 from odnet.networks import MLPConfig, init_mlp
 from odnet.runconfig import split_indices
@@ -167,6 +168,27 @@ def test_spatial_mse_csv_rejects_a_location_count_mismatch(tmp_path, rows):
     path = tmp_path / "mse.csv"
     with pytest.raises(ShapeError, match=rf"\({rows}, 2\) for 2 spatial MSE values"):
         report.spatial_mse_csv(path, np.zeros((rows, 2)))
+    assert not path.exists()
+
+
+def test_location_csv_bytes(tmp_path):
+    # the one writer of export-basis and spatial-MSE files: %.17g everywhere
+    path = tmp_path / "basis.csv"
+    y = np.array([[0.1, 2.0], [1.0 / 3.0, -0.0]])
+    write_location_csv(path, y, ["col0", "col4"], np.array([[1e-300, 5.0], [np.pi, -2.5]]), "rows")
+    assert path.read_text() == (
+        "y1,y2,col0,col4\n"
+        "0.10000000000000001,2,1e-300,5\n"
+        "0.33333333333333331,-0,3.1415926535897931,-2.5\n"
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_location_csv_rejects_a_row_count_mismatch(tmp_path, rows):
+    path = tmp_path / "basis.csv"
+    with pytest.raises(ShapeError, match=rf"\({rows}, 2\) for 2 rows of basis columns"):
+        write_location_csv(path, np.zeros((rows, 2)), ["col0", "col1"], np.zeros((2, 2)),
+                           "rows of basis columns")
     assert not path.exists()
 
 

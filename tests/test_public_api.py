@@ -2,10 +2,14 @@
 
 import inspect
 import re
+from dataclasses import MISSING
 from pathlib import Path
 
 import odnet
 from odnet import autodiff as ad
+from odnet import runconfig as rc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -30,8 +34,35 @@ def test_autodiff_ops_match_the_documented_op_list():
 
 def test_readme_code_uses_exported_names_only():
     # every odnet.<name> in a README code block is in odnet.__all__
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
     used = {name for block in blocks for name in re.findall(r"\bodnet\.([A-Za-z_]\w*)", block)}
     assert used  # the usage example is still there
     assert sorted(used - set(odnet.__all__)) == []
+
+
+def test_readme_documents_every_config_key_with_its_default():
+    # the Configuration table lists, section by section, every key that
+    # parse_config accepts, and each key's default as its field declares it;
+    # a default given in plain words is an empty one or none at all
+    readme = README.read_text()
+    start = readme.index("## Configuration")
+    table = readme[start:readme.index("\n## ", start)]
+    documented, section = {}, None
+    for head, key, default in re.findall(r"^\| (`\[.+?\]`)? ?\| `(\w+)` \| (.+?) \|", table, re.M):
+        section = head.strip("`") or section
+        documented[section, key] = default
+    sections = {
+        "[data]": rc._DATA_KEYS, "[model]": rc._MODEL_KEYS,
+        "[trunk.<name>]": {k: e for keys in rc._TRUNK_SECTION.values() for k, e in keys.items()},
+        "[train]": {**rc._TRAIN_KEYS, **rc._SEEDS_KEY}, "[eval]": rc._EVAL_KEYS,
+    }
+    declared = {(s, key): entry for s, keys in sections.items() for key, entry in keys.items()}
+    assert sorted(documented) == sorted(declared)
+    for (s, key), (f, reader) in declared.items():
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        text = documented[s, key]
+        if text.startswith("`"):
+            assert reader(text.strip("`")) == default, (s, key, text)
+        else:
+            assert default in (MISSING, None, "", ()), (s, key, text)
