@@ -9,6 +9,8 @@ evaluation/CLI harness.
 
 __version__ = "0.1.0"
 
+import ctypes
+
 from .autodiff import Tape, Tensor
 from .data import (
     OperatorDataset,
@@ -48,6 +50,29 @@ from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk, export_basi
 from .training import Adam, TrainConfig, TrainReport, inverse_time_lr, mse_loss, train
 from .checkpoint import load_checkpoint, save_checkpoint
 from .runconfig import RunConfig, build_model, generate_dataset, parse_config, split_indices
+
+
+def _pin_allocator():
+    """Fix glibc's mmap and trim thresholds (32 MiB, 256 MiB) for the process.
+
+    A training step's large temporaries (trunk activations, the product and
+    its residual) are 128 KB to a few MB. Left to glibc's dynamic
+    thresholds, whether they come from the settled heap or are mmapped,
+    trimmed and faulted in again every step depends on the allocation
+    history, even on the size of the environment; pinned, they are reused.
+    A silent no-op where there is no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_allocator()
 
 __all__ = [
     "Adam",

@@ -1,22 +1,25 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The op set is deliberately small and shaped by the DeepONet hot path.
-It has eight ops:
+It has five ops:
 
-- ``linear`` (a dense layer, ``x @ w + b``),
+- ``linear`` (a dense layer, ``act(x @ w + b)``, with the bias and an
+  optional activation, ``"relu"``, ``"leaky_relu"`` or ``"tanh"``,
+  applied in place on the product),
 - ``matmul_nt`` (the ``branch @ trunk^T`` product, without a transpose,
   with the model's scalar bias and constant offset row added in place),
 - ``mse`` (the training loss, from one residual),
 - ``scatter_add_rows`` (PoU blending) and ``concat_columns`` (trunk
-  stacking),
-- ``relu``, ``leaky_relu`` and ``tanh`` (activations).
+  stacking).
 
 Each backward rule is short enough to audit by hand.
 
 Ops take an optional ``tape``. With ``tape=None`` they evaluate forward
 only; with a tape they append a backward rule in execution order, so the
 record list is automatically in topological order and ``Tape.backward``
-is a single reverse sweep that touches each node exactly once.
+is a single reverse sweep that touches each node exactly once. An
+activated layer puts one record and one array on the tape: its backward
+rule takes the activation's derivative from the output it already holds.
 
 Everything is 64-bit and row-major. There is no broadcasting beyond the
 explicit bias, scalar and row adds of ``linear`` and ``matmul_nt``.
@@ -72,8 +75,9 @@ def as_tensor(x) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g)  # a copy: g may be an adjoint or a view of one
+    else:
+        t.grad += g
 
 
 class Tape:
@@ -139,10 +143,32 @@ def _check_2d(t: Tensor, op: str):
         raise ShapeError(f"{op}: expected a 2-d tensor, got shape {t.data.shape}")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Dense layer x @ w + b, with the (n,) bias added to every row in place.
+ACTIVATIONS = ("relu", "leaky_relu", "tanh")
+LEAKY_SLOPE = 0.01  # leaky_relu's slope on the negative side
 
-    Backward: grad_x = g wT, grad_w = xT g, grad_b = column sums of g.
+
+def _activation_grad(activation: str | None, out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times the activation's derivative, read off the activated output:
+    out > 0 exactly where the input was > 0 (for leaky_relu too, its
+    slope being positive), and tanh' = 1 - tanh^2."""
+    if activation == "relu":
+        return g * (out > 0.0)
+    if activation == "leaky_relu":
+        return g * np.where(out > 0.0, 1.0, LEAKY_SLOPE)
+    if activation == "tanh":
+        return g * (1.0 - out * out)
+    return g
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None, *,
+           activation: str | None = None) -> Tensor:
+    """Dense layer act(x @ w + b): the (n,) bias is added to every row and
+    the activation (None, or one of ``ACTIVATIONS``) applied, both in
+    place on the product. Each step rounds as a separate op would.
+
+    Backward, with g_a = g * act'(out): grad_x = g_a wT, grad_w = xT g_a,
+    grad_b = column sums of g_a. act' is taken from the output, so the
+    tape keeps no mask, slope or pre-activation array.
     """
     _check_2d(x, "linear")
     _check_2d(w, "linear")
@@ -154,14 +180,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ShapeError(
             f"linear: bias shape {b.data.shape} does not match columns of {w.data.shape}"
         )
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ValueError(f"linear: unknown activation {activation!r}")
     data = x.data @ w.data
     data += b.data
+    if activation == "relu":
+        np.maximum(data, 0.0, out=data)
+    elif activation == "leaky_relu":
+        np.multiply(data, LEAKY_SLOPE, out=data, where=~(data > 0.0))
+    elif activation == "tanh":
+        np.tanh(data, out=data)
     out = Tensor(data)
     if tape is not None and (x._tracked or w._tracked or b._tracked):
         xdata, wdata = x.data, w.data
         need_x, need_w, need_b = x._tracked, w._tracked, b._tracked
 
         def backward_fn(g):
+            g = _activation_grad(activation, data, g)
             gx = g @ wdata.T if need_x else None
             gw = xdata.T @ g if need_w else None
             gb = g.sum(axis=0) if need_b else None
@@ -304,29 +339,4 @@ def concat_columns(parts, tape: Tape | None = None) -> Tensor:
             )
 
         tape.record(out, tuple(parts), backward_fn)
-    return out
-
-
-def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    if tape is not None and a._tracked:
-        mask = a.data > 0.0
-        tape.record(out, (a,), lambda g: (g * mask,))
-    return out
-
-
-def leaky_relu(a: Tensor, alpha: float = 0.01, tape: Tape | None = None) -> Tensor:
-    """Leaky ReLU with slope ``alpha`` on the negative side (default 0.01)."""
-    slope = np.where(a.data > 0.0, 1.0, alpha)
-    out = Tensor(a.data * slope)
-    if tape is not None and a._tracked:
-        tape.record(out, (a,), lambda g: (g * slope,))
-    return out
-
-
-def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.tanh(a.data))
-    if tape is not None and a._tracked:
-        odata = out.data
-        tape.record(out, (a,), lambda g: (g * (1.0 - odata * odata),))
     return out

@@ -1,8 +1,9 @@
 """MLP construction, Glorot initialization, and batched forward evaluation.
 
 Samples are rows everywhere in this project: an MLP maps (B, input_dim)
-to (B, output_dim). Branch networks leave their last layer linear; trunk
-networks activate it.
+to (B, output_dim). Every layer is one ``autodiff.linear`` call, with the
+activation folded in. Branch networks leave their last layer linear;
+trunk networks activate it.
 """
 
 from __future__ import annotations
@@ -12,17 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import ACTIVATIONS
 from .errors import ShapeError
-
-ACTIVATIONS = ("relu", "leaky_relu", "tanh")
-
-
-def _apply_activation(name: str, t: ad.Tensor, tape):
-    if name == "relu":
-        return ad.relu(t, tape)
-    if name == "leaky_relu":
-        return ad.leaky_relu(t, 0.01, tape)
-    return ad.tanh(t, tape)
 
 
 @dataclass(frozen=True)
@@ -98,12 +90,11 @@ class MLP:
                 f"forward: input shape {x.data.shape} does not match input_dim "
                 f"{self.config.input_dim}"
             )
-        n_layers = len(self.weights)
+        last = len(self.weights) - 1
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.linear(h, w, b, tape)
-            if i < n_layers - 1 or self.config.activate_last:
-                h = _apply_activation(self.config.activation, h, tape)
+            activated = i < last or self.config.activate_last
+            h = ad.linear(h, w, b, tape, activation=self.config.activation if activated else None)
         return h
 
 

@@ -109,6 +109,59 @@ def test_linear_matches_numpy_bit_for_bit():
     np.testing.assert_array_equal(b.grad, g.sum(axis=0))
 
 
+_NUMPY_ACTIVATIONS = {
+    "relu": (lambda a: np.maximum(a, 0.0), lambda a: a > 0.0),
+    "leaky_relu": (lambda a: a * np.where(a > 0.0, 1.0, 0.01),
+                   lambda a: np.where(a > 0.0, 1.0, 0.01)),
+    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) * np.tanh(a)),
+}
+
+
+@pytest.mark.parametrize("activation", sorted(_NUMPY_ACTIVATIONS))
+def test_fused_activation_matches_numpy_bit_for_bit(activation):
+    # act(x @ w + b) as separate numpy ops, forward untaped and taped, and
+    # the gradients from the derivative at the pre-activation; row 0 of x
+    # is zero, so its pre-activation is the bias, which holds an exact 0
+    act, derivative = _NUMPY_ACTIVATIONS[activation]
+    rng = np.random.default_rng(25)
+    x_data = rng.normal(size=(7, 5))
+    x_data[0] = 0.0
+    x = ad.Tensor(x_data, requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = ad.Tensor(np.array([0.0, -0.5, 0.25, 1.5]), requires_grad=True)
+    target = rng.normal(size=(7, 4))
+    pre = x.data @ w.data + b.data[None, :]
+    assert pre[0, 0] == 0.0
+    assert ad.linear(x, w, b, activation=activation).data.tobytes() == act(pre).tobytes()
+    tape = ad.Tape()
+    out = ad.linear(x, w, b, tape, activation=activation)
+    assert out.data.tobytes() == act(pre).tobytes()
+    assert len(tape) == 1
+    tape.backward(ad.mse(out, ad.Tensor(target), tape))
+    g = ((out.data - target) * (2.0 / out.size)) * derivative(pre)
+    np.testing.assert_array_equal(x.grad, g @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ g)
+    np.testing.assert_array_equal(b.grad, g.sum(axis=0))
+
+
+@pytest.mark.parametrize("activation", sorted(_NUMPY_ACTIVATIONS))
+def test_fused_activation_matches_finite_differences(activation):
+    rng = np.random.default_rng(26)
+    x = ad.Tensor(rng.uniform(-1, 1, size=(6, 3)), requires_grad=True)
+    w = ad.Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
+    b = ad.Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
+    params = [x, w, b]
+
+    def loss(tape=None):
+        out = ad.linear(x, w, b, tape, activation=activation)
+        return ad.mse(out, _zeros(6, 4), tape)
+
+    tape = ad.Tape()
+    tape.backward(loss(tape))
+    for p, g in zip(params, central_difference_grads(loss, params)):
+        assert relative_gradient_error(p.grad, g) < 1e-5
+
+
 def test_matmul_nt_matches_numpy_bit_for_bit():
     # the bias and the offset row are added in place after the product, in
     # that order, with the bits of two separate numpy adds
@@ -203,23 +256,31 @@ def test_tape_names_first_nonfinite_record():
     w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     x = np.ones((3, 2))
     tape = ad.Tape()
-    h = ad.tanh(ad.linear(ad.Tensor(x), w, _zeros(2), tape), tape)
+    h = ad.linear(ad.Tensor(x), w, _zeros(2), tape, activation="tanh")
     ad.mse(h, _zeros(3, 2), tape)
     assert tape.first_nonfinite() is None
     x[1, 0] = np.inf
     tape = ad.Tape()
     with np.errstate(invalid="ignore"):
-        h = ad.tanh(ad.linear(ad.Tensor(x), w, _zeros(2), tape), tape)
+        # relu keeps the infinity, where tanh would map it to 1
+        h = ad.linear(ad.Tensor(x), w, _zeros(2), tape, activation="relu")
         ad.matmul_nt(h, ad.Tensor(np.full((4, 2), np.nan)), tape)
     assert tape.first_nonfinite() == ("linear", (3, 2))
 
 
+def _activated(v, activation):
+    """act(v) through linear: v * 1 + 0 is v exactly."""
+    out = ad.linear(ad.Tensor([[v]]), ad.Tensor([[1.0]]), _zeros(1), activation=activation)
+    return float(out.data[0, 0])
+
+
 def test_elementwise_values():
-    assert float(ad.relu(ad.Tensor(np.array(-1.5))).data) == 0.0
-    assert float(ad.relu(ad.Tensor(np.array(2.0))).data) == 2.0
-    assert float(ad.tanh(ad.Tensor(np.array(0.0))).data) == 0.0
-    lr = ad.leaky_relu(ad.Tensor(np.array(-2.0)), alpha=0.01)
-    assert float(lr.data) == pytest.approx(-0.02, abs=1e-15)
+    assert _activated(-1.5, "relu") == 0.0
+    assert _activated(2.0, "relu") == 2.0
+    assert _activated(0.0, "tanh") == 0.0
+    assert _activated(-2.0, "leaky_relu") == pytest.approx(-0.02, abs=1e-15)
+    with pytest.raises(ValueError, match="linear: unknown activation"):
+        _activated(1.0, "sigmoid")
 
 
 def test_elementwise_shape_mismatch():
@@ -251,9 +312,9 @@ def test_backward_quadratic():
 
 
 def test_backward_requires_scalar_loss():
-    w = ad.Tensor(np.ones(3), requires_grad=True)
+    w = ad.Tensor(np.ones((1, 3)), requires_grad=True)
     tape = ad.Tape()
-    out = ad.tanh(w, tape)
+    out = ad.linear(ad.Tensor(np.eye(1)), w, _zeros(3), tape, activation="tanh")
     with pytest.raises(ShapeError):
         tape.backward(out)
 
@@ -274,6 +335,18 @@ def test_backward_accumulates_without_reset():
     np.testing.assert_array_equal(w.grad, 2.0 * np.ones((1, 2)))
 
 
+def test_first_gradient_is_an_owned_row_major_copy():
+    # concat_columns hands each part a column slice of its adjoint; a
+    # gradient kept as that view would alias the adjoint and not be
+    # row-major
+    w = ad.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    tape = ad.Tape()
+    cat = ad.concat_columns([w, ad.Tensor(np.zeros((1, 3)))], tape)
+    tape.backward(ad.mse(cat, _zeros(1, 5), tape))
+    assert w.grad.flags.owndata and w.grad.flags.c_contiguous
+    np.testing.assert_array_equal(w.grad, [[0.4, -0.8]])
+
+
 def _random_two_layer(rng):
     w1 = ad.Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
     b1 = ad.Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
@@ -285,7 +358,7 @@ def _random_two_layer(rng):
 
 def _mlp_loss(params, x, tape=None):
     w1, b1, w2, b2 = params
-    h = ad.tanh(ad.linear(ad.Tensor(x), w1, b1, tape), tape)
+    h = ad.linear(ad.Tensor(x), w1, b1, tape, activation="tanh")
     out = ad.linear(h, w2, b2, tape)
     return ad.mse(out, _zeros(*out.shape), tape)
 
@@ -334,7 +407,7 @@ def test_backward_linearity():
     def losses(tape):
         prod = ad.linear(x, w, _zeros(4), tape)
         l1 = ad.mse(prod, _zeros(4, 4), tape)  # 0-d
-        l2 = _total(ad.tanh(prod, tape), tape)  # (1, 1)
+        l2 = _total(ad.linear(x, w, _zeros(4), tape, activation="tanh"), tape)  # (1, 1)
         return l1, l2
 
     tape = ad.Tape()
@@ -362,7 +435,7 @@ def test_backward_visits_each_node_once():
     # after both consumers contributed their adjoints
     w = ad.Tensor(np.array([[0.5, -0.25]]), requires_grad=True)
     tape = ad.Tape()
-    shared = ad.tanh(w, tape)
+    shared = ad.linear(ad.Tensor(np.eye(1)), w, _zeros(2), tape, activation="tanh")  # tanh(w)
     a = ad.mse(shared, _zeros(1, 2), tape)  # sum of squares / 2
     b = _total(ad.scatter_add_rows([(shared, [0], [1.0]), (shared, [0], [1.0])], 1, tape), tape)
     both = ad.concat_columns([_as_2d(a, tape), b], tape)
@@ -379,7 +452,7 @@ def test_determinism_bit_identical():
         w = ad.Tensor(rng.uniform(-1, 1, size=(6, 6)), requires_grad=True)
         x = ad.Tensor(rng.uniform(-1, 1, size=(3, 6)))
         tape = ad.Tape()
-        out = ad.tanh(ad.linear(x, w, _zeros(6), tape), tape)
+        out = ad.linear(x, w, _zeros(6), tape, activation="tanh")
         loss = ad.mse(out, _zeros(3, 6), tape)
         tape.backward(loss)
         return loss.data.copy(), w.grad.copy()
@@ -408,7 +481,7 @@ def test_structural_ops_match_finite_differences():
     params = [a, s, m, c, q, target]
 
     def forward(tape=None):
-        act = ad.tanh(a, tape)
+        act = ad.linear(ad.Tensor(np.eye(2)), a, _zeros(3), tape, activation="tanh")  # tanh(a)
         placed = ad.scatter_add_rows([(act, idx, w), (act, idx2, w2)], 5, tape)  # (5, 3)
         right = ad.linear(placed, m, c, tape)                              # (5, 2)
         cat = ad.concat_columns([placed, right], tape)                     # (5, 5)

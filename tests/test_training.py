@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import odnet
 from odnet import autodiff as ad
 from odnet.errors import NumericError, ShapeError
 from odnet.networks import MLPConfig, init_mlp
@@ -358,3 +364,48 @@ def test_report_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,loss,lr,seconds"
     assert len(lines) == 6
+
+
+# --- training bits of the bundled configs ---
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# 20-epoch parameter_hash() at seed 0, on each config's full data, with one
+# BLAS thread. An op that moves rounding anywhere in training moves these.
+PINNED_HASHES = {
+    "antiderivative-vanilla.ini": "d752f630",
+    "rd2d-modified-pod.ini": "ebcc0a6c",
+    "rd2d-p-plus-1-vanilla.ini": "e6f2d801",
+    "rd2d-pod-pou.ini": "e9dfb16a",
+    "rd2d-pod.ini": "cd16bf77",
+    "rd2d-vanilla-pod-pou.ini": "bc424e21",
+    "rd2d-vanilla-pod.ini": "ce62aa21",
+    "rd2d-vanilla-pou.ini": "acdcb58a",
+    "rd2d-vanilla.ini": "84ae420d",
+}
+
+_HASH_SCRIPT = """
+import dataclasses, sys
+from odnet import build_model, generate_dataset, parse_config, split_indices, train
+for path in sys.argv[1:]:
+    cfg = parse_config(open(path).read())
+    ds = generate_dataset(cfg.data)
+    train_idx, _ = split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)
+    model = build_model(cfg, ds, train_idx, 0)
+    targets = ds.scalar_targets()
+    train(model, ds.U[train_idx], targets[train_idx], ds.Y,
+          dataclasses.replace(cfg.train, epochs=20))
+    print(model.parameter_hash())
+"""
+
+
+def test_twenty_epoch_hashes_of_bundled_configs_are_pinned():
+    # a fresh process, so the thread count is set before numpy loads
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.ini")) == sorted(PINNED_HASHES)
+    src = str(Path(odnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=src)
+    names = sorted(PINNED_HASHES)
+    out = subprocess.run([sys.executable, "-c", _HASH_SCRIPT, *(str(CONFIG_DIR / n) for n in names)],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert dict(zip(names, out.stdout.split())) == PINNED_HASHES

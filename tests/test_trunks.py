@@ -441,6 +441,17 @@ def test_cached_and_uncached_predictions_are_the_same_bytes(name):
     assert second.tobytes() == _unserved(model, ds.U[::-1], ds.Y).tobytes()
 
 
+@pytest.mark.parametrize("name, records", [("rd2d-vanilla.ini", 9),
+                                           ("rd2d-vanilla-pod-pou.ini", 35)])
+def test_tape_records_of_one_training_step(name, records):
+    # one record per layer (activation folded in), one product, one loss;
+    # the ensemble adds 6 experts x 4 layers, the PoU blend and the concat
+    _, ds, model = _bundled(name)
+    tape = ad.Tape()
+    mse_loss(model.predict(ds.U, ds.Y, tape), ds.scalar_targets(), tape)
+    assert len(tape) == records
+
+
 def _reloaded_prediction(model, cfg, ds, path):
     save_checkpoint(model, cfg.text, path, seed=0)
     return load_checkpoint(path, ds)[0].predict(ds.U, ds.Y).data
@@ -463,6 +474,27 @@ def test_cache_follows_optimizer_steps_and_in_place_edits(tmp_path):
     edited = model.predict(ds.U, ds.Y).data
     assert edited.tobytes() != stepped.tobytes()
     assert edited.tobytes() == _reloaded_prediction(model, cfg, ds, tmp_path / "b.odm").tobytes()
+
+
+def test_cache_sees_a_sign_of_zero_and_a_nan_payload():
+    # edits that compare equal as floats, or unequal to themselves, still
+    # change bits: each one evaluates the trunk again, and nothing else does
+    y = np.random.default_rng(36).uniform(-0.9, 0.9, size=(10, 2))
+    model = _mixed_model(y)
+    calls = _count_trunk_forwards(model)
+    u = np.ones((2, 4))
+    bias = model.members[0].mlp.biases[0].data  # Glorot init: zero biases
+    model.predict(u, y)
+    bias[0] = -0.0
+    model.predict(u, y)
+    weight = model.members[2].experts[0].weights[0].data
+    quiet_nan = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
+    weight[0, 0] = quiet_nan[0]
+    model.predict(u, y)
+    model.predict(u, y)
+    weight[0, 0] = quiet_nan[1]
+    model.predict(u, y)
+    assert calls == [None] * 4
 
 
 def test_locations_changed_in_place_are_bound_again():
