@@ -27,6 +27,8 @@ explicit bias, scalar and row adds of ``linear`` and ``matmul_nt``.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ShapeError
@@ -35,12 +37,13 @@ from .errors import ShapeError
 class Tensor:
     """A dense, row-major float64 array, optionally tracked for gradients.
 
-    ``grad`` is allocated lazily on first accumulation and has the same
-    shape as ``data``. Tensors that never participate in a recorded
-    computation are plain immutable value carriers.
+    ``grad`` is set on first accumulation, with the shape of ``data``: a
+    copy, or its slice of a gradient vector (``_grad_slot``) once
+    ``_flat_parameters`` has laid it out. Tensors that never participate in
+    a recorded computation are plain immutable value carriers.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked")
+    __slots__ = ("data", "requires_grad", "grad", "_tracked", "_grad_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -51,6 +54,12 @@ class Tensor:
         self.grad = None
         # True once this tensor can influence a loss recorded on some tape.
         self._tracked = self.requires_grad
+        self._grad_slot = None
+
+    def __getstate__(self):
+        """A copied or unpickled tensor owns its data and lies in no vector
+        until ``_flat_parameters`` lays it out again."""
+        return None, {**{name: getattr(self, name) for name in self.__slots__}, "_grad_slot": None}
 
     @property
     def shape(self):
@@ -74,10 +83,41 @@ def as_tensor(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif t._grad_slot is None:
         t.grad = np.array(g)  # a copy: g may be an adjoint or a view of one
     else:
-        t.grad += g
+        t._grad_slot[...] = g
+        t.grad = t._grad_slot
+
+
+def _flat_parameters(tensors):
+    """(values, gradients): two float64 vectors holding ``tensors`` end to
+    end, in order; each ``data`` and ``_grad_slot`` is a view into them.
+    Tensors already laid out so, in this order, are adopted, so every
+    holder sees one buffer; others are copied in, and this is the only
+    place that rebinds ``data``. A tensor listed twice, or one that lies in
+    a buffer out of this order, is a ValueError."""
+    tensors = list(tensors)
+    if len({id(t) for t in tensors}) != len(tensors):
+        raise ValueError("a parameter tensor is listed more than once")
+    bounds = list(itertools.accumulate((t.data.size for t in tensors), initial=0))
+    laid_out = [t._grad_slot is not None for t in tensors]
+    if tensors and all(laid_out):
+        values, grads = tensors[0].data.base, tensors[0]._grad_slot.base
+        at = (np.array([t.data.ctypes.data for t in tensors]) - values.ctypes.data) // 8
+        if all(t.data.base is values and t._grad_slot.base is grads for t in tensors) \
+                and np.array_equal(at - at[0], bounds[:-1]):
+            return values[at[0]:at[0] + bounds[-1]], grads[at[0]:at[0] + bounds[-1]]
+    if any(laid_out):
+        raise ValueError("parameter tensors already lie in a buffer, but not in this order")
+    values = np.concatenate([t.data.ravel() for t in tensors] or [np.zeros(0)])
+    grads = np.zeros_like(values)
+    for t, lo, hi in zip(tensors, bounds, bounds[1:]):
+        t.data = values[lo:hi].reshape(t.data.shape)
+        t._grad_slot = grads[lo:hi].reshape(t.data.shape)
+    return values, grads
 
 
 class Tape:

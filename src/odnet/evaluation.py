@@ -31,22 +31,42 @@ def mean_relative_l2(preds, truths) -> float:
 def per_function_relative_l2(preds, truths) -> np.ndarray:
     """``relative_l2`` of each row, bit for bit: a row's norm is
     ``sqrt(np.vecdot(r, r))``, one BLAS dot per row, which is what
-    ``np.linalg.norm`` computes for a 1-d float array. The rows are made
-    C-contiguous first because ``np.linalg.norm`` ravels its argument into
+    ``np.linalg.norm`` computes for a 1-d float array. The dots run over
+    C-contiguous rows because ``np.linalg.norm`` ravels its argument into
     one contiguous vector, and a dot over strided rows may sum in another
     order."""
+    return _relative_rows(*_residual(preds, truths))
+
+
+def _residual(preds, truths, out=None):
+    """(preds - truths, truths) as float64 arrays of one shape; the
+    residual goes to ``out``, or else to a new array."""
     preds = np.asarray(preds, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if preds.shape != truths.shape:
         raise ShapeError(f"shapes {preds.shape} and {truths.shape} differ")
-    preds = np.ascontiguousarray(preds.reshape(preds.shape[0], -1))
-    truths = np.ascontiguousarray(truths.reshape(truths.shape[0], -1))
+    return np.subtract(preds, truths, out=out), truths
+
+
+def _relative_rows(residual: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Per row (axis 0) ||residual|| / ||truth||; a zero truth is a DataError."""
+    rows = truths.shape[0]
+    truths = np.ascontiguousarray(truths.reshape(rows, -1))
+    residual = np.ascontiguousarray(residual.reshape(rows, -1))
     denom = np.sqrt(np.vecdot(truths, truths))
-    zero = np.flatnonzero(denom == 0.0)
-    if zero.size:
-        raise DataError(f"function {zero[0]}: relative_l2: degenerate truth vector with zero norm")
-    r = preds - truths
-    return np.sqrt(np.vecdot(r, r)) / denom
+    if not denom.all():
+        raise DataError(f"function {np.flatnonzero(denom == 0.0)[0]}: relative_l2: "
+                        "degenerate truth vector with zero norm")
+    return np.sqrt(np.vecdot(residual, residual)) / denom
+
+
+def _mean_square(residual: np.ndarray) -> np.ndarray:
+    """The mean over axis 0 of residual squared, squaring in place. As
+    ``mean`` does it, a sum over the axis and then one division."""
+    residual *= residual
+    total = np.add.reduce(residual, axis=0)
+    total /= residual.shape[0]
+    return total
 
 
 def vector_field_magnitude(field) -> np.ndarray:
@@ -62,13 +82,7 @@ def vector_field_magnitude(field) -> np.ndarray:
 
 def spatial_mse(preds, truths) -> np.ndarray:
     """Per-location squared error averaged over the N functions."""
-    preds = np.asarray(preds, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if preds.shape != truths.shape:
-        raise ShapeError(f"spatial_mse: shapes {preds.shape} and {truths.shape} differ")
-    diff = preds - truths
-    diff *= diff
-    return diff.mean(axis=0)
+    return _mean_square(_residual(preds, truths)[0])
 
 
 @dataclass
@@ -128,16 +142,20 @@ def evaluate_model(model, u_samples, v_targets, y_locations,
     changes (an optimizer step, an in-place edit) or the locations do, so
     the report is the same bits as a first call's.
     ``v_targets`` is (N, N_y): pass a vector field's magnitudes, as
-    ``OperatorDataset.scalar_targets`` gives them.
+    ``OperatorDataset.scalar_targets`` gives them. The residual
+    ``preds - v`` is formed once, over the prediction array (a new one
+    per call): the relative errors are read off it first, then it is
+    squared in place for the spatial MSE.
     """
-    v = np.asarray(v_targets, dtype=np.float64)
     start = time.perf_counter()
     preds = model.predict(u_samples, y_locations).data
     elapsed = time.perf_counter() - start
+    residual, v = _residual(preds, v_targets, out=preds)
+    per_function = _relative_rows(residual, v)
     return EvalReport(
         dataset=dataset_name,
         model=model_name,
-        per_function=per_function_relative_l2(preds, v),
-        spatial_mse_field=spatial_mse(preds, v),
+        per_function=per_function,
+        spatial_mse_field=_mean_square(residual),
         inference_seconds=elapsed,
     )

@@ -81,9 +81,11 @@ def inverse_time_lr(lr0: float, gamma: float, step_interval: int, step: int) -> 
 
 
 class Adam:
-    """Adam with bias correction; state tensors match parameter shapes. A
-    nonzero ``weight_decay`` makes it AdamW: each step also subtracts
-    ``lr * weight_decay * p`` from each p in ``decay_params`` (the weights)."""
+    """Adam with bias correction, one elementwise pass over flat vectors of
+    values (a model's own), gradients and moments. A nonzero ``weight_decay``
+    makes it AdamW: each step also subtracts ``lr * weight_decay * p`` from
+    each p in ``decay_params`` (the weights). A parameter whose ``grad`` is
+    None keeps its value and moments; a tensor listed twice is a ValueError."""
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0, decay_params=()):
@@ -93,29 +95,37 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        decayed = list(decay_params) if weight_decay != 0.0 else []
-        self._decay = [any(p is q for q in decayed) for p in self.params]
+        self._values, self._grads = ad._flat_parameters(self.params)
+        self._m = np.zeros_like(self._values)
+        self._v = np.zeros_like(self._values)
+        self._sizes = [p.data.size for p in self.params]
+        decayed = {id(p) for p in decay_params} if weight_decay != 0.0 else set()
+        self._decay = np.repeat([id(p) in decayed for p in self.params], self._sizes)
+
+    def __setstate__(self, state):
+        """A deep copy or an unpickled optimizer steps its own tensors: lay
+        them out again, or adopt a copied model's vector."""
+        self.__dict__.update(state)
+        self._values, self._grads = ad._flat_parameters(self.params)
 
     def step(self, lr: float):
+        for p in self.params:  # a gradient assigned by hand joins the vector
+            if p.grad is not None and p.grad is not p._grad_slot:
+                p._grad_slot[...] = p.grad
+        got = [p.grad is not None for p in self.params]
+        live = True if all(got) else np.repeat(got, self._sizes)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v, decay in zip(self.params, self._m, self._v, self._decay):
-            g = p.grad
-            if g is None:
-                continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            step = lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if decay:
-                step += lr * self.weight_decay * p.data
-            p.data -= step
+        g, m, v, p = self._grads, self._m, self._v, self._values
+        np.multiply(m, self.beta1, out=m, where=live)
+        np.add(m, (1.0 - self.beta1) * g, out=m, where=live)
+        np.multiply(v, self.beta2, out=v, where=live)
+        np.add(v, (1.0 - self.beta2) * (g * g), out=v, where=live)
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.weight_decay != 0.0:
+            np.add(step, lr * self.weight_decay * p, out=step, where=self._decay)
+        np.subtract(p, step, out=p, where=live)
 
 
 def make_optimizer(model, cfg: TrainConfig):

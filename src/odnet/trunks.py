@@ -23,15 +23,17 @@ trunk on the same parts. PoU patches are summed sequentially in declared
 order, so results are bit-reproducible.
 
 At fixed locations trunk(Y) does not depend on the input function, so an
-untaped call also keeps the trunk matrix (read-only) in the entry, with
-the bytes of every trunk-member parameter it was computed from. It reuses
-the matrix while every trunk parameter is byte-for-byte unchanged; an
-optimizer step or an in-place edit evaluates the trunk again, and a new Y
-(or the same array changed in place) replaces the entry. The branch and
-one product, with the bias and the offset added in place, run on every
-call, so outputs are the same bits either way. POD columns are constants
-of the basis and are not checked. The entry holds no reference to its
-model, so a dead model is freed at once.
+untaped call also keeps the trunk matrix (read-only) in the entry, with a
+``uint64`` copy of the trunk members' parameters: every trainable tensor
+is a view into one vector the model owns, in ``parameters()`` order, and
+those are its prefix. One compare of bits decides reuse, so -0.0 over 0.0
+or a new NaN payload counts as a change: an optimizer step or an in-place
+edit evaluates the trunk again, and a new Y (or the same array changed in
+place) replaces the entry. Rebinding a parameter's ``data`` is not
+supported. The branch and one product, with the bias and the offset
+added in place, run on every call, so outputs are the same bits either
+way. POD columns are constants of the basis and are not checked. The
+entry holds no reference to its model, so a dead model is freed at once.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ class _Served(NamedTuple):
     parts: tuple  # one per member, what its forward takes
     offset: np.ndarray | None  # summed mean-function rows of standard POD members
     trunk: ad.Tensor | None = None  # the untaped trunk matrix, read-only
-    state: tuple | None = None  # (shape, bytes) of each trunk parameter it came from
+    state: np.ndarray | None = None  # the trunk parameters' bits it came from, as uint64
 
 
 class EnsembleModel:
@@ -263,6 +265,18 @@ class EnsembleModel:
         self.bias = bias
         self.total_p = total_p
         self._served = None
+        self._lay_out()
+
+    def _lay_out(self):
+        self._values = ad._flat_parameters(self.parameters())[0]
+        n_trunk = sum(t.data.size for m in self.members for t in m.parameters())
+        self._trunk_bits = self._values[:n_trunk].view(np.uint64)
+
+    def __setstate__(self, state):
+        """A deep copy or an unpickled model gets its tensors as separate
+        arrays: lay them out in one vector again."""
+        self.__dict__.update(state)
+        self._lay_out()
 
     @property
     def input_dim(self):
@@ -279,10 +293,6 @@ class EnsembleModel:
         if len(outs) == 1:
             return outs[0]
         return ad.concat_columns(outs, tape)
-
-    def _trunk_state(self) -> tuple:
-        return tuple((t.data.shape, t.data.tobytes())
-                     for m in self.members for t in m.parameters())
 
     def _served_at(self, y) -> _Served:
         """The entry for the locations ``y``; a Y of another shape or other
@@ -311,11 +321,10 @@ class EnsembleModel:
         if tape is not None:
             trunk_out = self.trunk_forward(entry.parts, tape)
         else:
-            state = self._trunk_state()
-            if entry.state != state:
+            if entry.state is None or not (entry.state == self._trunk_bits).all():
                 trunk = self.trunk_forward(entry.parts)
                 trunk.data.flags.writeable = False
-                entry = self._served = entry._replace(trunk=trunk, state=state)
+                entry = self._served = entry._replace(trunk=trunk, state=self._trunk_bits.copy())
             trunk_out = entry.trunk
         return ad.matmul_nt(branch_out, trunk_out, tape, bias=self.bias, offset=entry.offset)
 
@@ -336,10 +345,8 @@ class EnsembleModel:
             t.zero_grad()
 
     def parameter_hash(self) -> str:
-        crc = 0
-        for t in self.parameters():
-            crc = zlib.crc32(np.ascontiguousarray(t.data).tobytes(), crc)
-        return f"{crc:08x}"
+        """CRC32 of every parameter's bytes in ``parameters()`` order."""
+        return f"{zlib.crc32(self._values):08x}"
 
 
 def export_basis(model: EnsembleModel, y, columns) -> np.ndarray:
