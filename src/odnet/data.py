@@ -5,15 +5,17 @@ runs) and a 2D reaction-diffusion problem with a spatially discontinuous
 reaction term, solved by an explicit finite-difference scheme on a
 cell-centered grid with homogeneous Neumann boundaries via ghost-cell
 reflection. The rd2d samples are solved in cache-sized chunks of about 32k
-grid values (32 samples at n = 32), each advanced in place inside the
-(N, n, n) output with scratch allocated once per call, so a time step
-allocates no array. Every update is elementwise, in the operand order of a
-plain np.pad ghost-cell stencil (kept in the tests as the reference), so
-each sample is bit-identical to that stencil and to a solve of the sample
-alone. A blow-up (|c| > 10 R, or a non-finite value) names the first
-sample over the limit at the earliest step of the first chunk that blows
-up. Externally produced datasets (e.g. Darcy, cavity flow) are loaded
-through the same file format; they are never synthesized here.
+grid values (32 samples at n = 32), each held grid row outermost in scratch
+allocated once per call, so a time step allocates no array and the
+reaction runs on the contiguous rows where it is on; each finished chunk
+is copied into the (N, n, n) output once. Every update is elementwise, in
+the operand order of a plain np.pad ghost-cell stencil (kept in the tests
+as the reference), so each sample is bit-identical to that stencil and to
+a solve of the sample alone. A blow-up (|c| > 10 R, or a non-finite value)
+names the first sample over the limit at the earliest step of the first
+chunk that blows up. Externally produced datasets (e.g. Darcy, cavity
+flow) are loaded through the same file format; they are never synthesized
+here.
 
 ODN1 datasets and ODM1 checkpoints share one sealed framing, read and
 written here: an 8-byte magic and a u32 version, then fields (u32s,
@@ -180,6 +182,8 @@ class RDParams:
             raise ConfigError("rd2d domain must have hi > lo")
         if self.t_final <= 0.0:
             raise ConfigError("rd2d t_final must be positive")
+        if not self.nu >= 0.0:  # NaN too
+            raise ConfigError(f"rd2d nu must be >= 0, got {self.nu!r}")
         if self.dt is not None:
             if self.dt <= 0.0:
                 raise ConfigError("rd2d dt must be positive")
@@ -194,7 +198,7 @@ class RDParams:
         return (self.hi - self.lo) / self.n
 
     def stability_bound(self) -> float:
-        if self.nu <= 0.0:
+        if self.nu == 0.0:
             return np.inf
         return 0.9 * self.h * self.h / (4.0 * self.nu)
 
@@ -224,8 +228,9 @@ class RDParams:
 
 
 # Grid values solved together by one pass of the stencil: 32 samples at
-# n = 32. A chunk's state and its three scratch arrays then take about
-# 1 MB, so each time step runs in a core's L2 cache.
+# n = 32. A chunk's state, two scratch arrays and the chunk's part of the
+# output, used as a third until the state is copied into it, then take
+# about 1 MB, so each time step runs in a core's L2 cache.
 RD_CHUNK_VALUES = 32 * 1024
 
 
@@ -236,11 +241,11 @@ def simulate_rd(params: RDParams, c0) -> np.ndarray:
     result is the (n, n) grid or the (m, n, n) stack of grids.
 
     Samples are solved in chunks of ``max(1, RD_CHUNK_VALUES // n**2)``,
-    each advanced in place inside the output array with three scratch
-    arrays allocated once per call, so a step allocates no array and its
-    working set stays in cache. Every update is elementwise, in the same
-    operations and operand order as a plain ``np.pad`` stencil, so each
-    grid is bit-identical to a solve of its sample alone.
+    each held grid row outermost in three scratch arrays allocated once
+    per call and the chunk's part of the output, so a step allocates no
+    array and its working set stays in cache. Every update is elementwise,
+    in the same operations and operand order as a plain ``np.pad``
+    stencil, so each grid is bit-identical to a solve of its sample alone.
 
     A state with some ``|c| > 10 R``, or a non-finite one, raises
     NumericError. The message names the step and the first sample over
@@ -252,16 +257,18 @@ def simulate_rd(params: RDParams, c0) -> np.ndarray:
         raise ShapeError(f"simulate_rd takes a scalar or 1-d c0, got shape {c0.shape}")
     flat = c0.reshape(-1)
     n = params.n
-    out = np.empty((flat.size, n, n))
     chunk = max(1, RD_CHUNK_VALUES // (n * n))
     schedule = _rd_schedule(params)
-    scratch = np.empty((3, min(chunk, flat.size), n, n))
+    scratch = np.empty((3, min(chunk, flat.size) * n * n))
+    # allocated after the scratch: in the other order the gen-infer
+    # benchmark's peak RSS read about 1.1 MB higher (glibc heap layout)
+    out = np.empty((flat.size, n, n))
     # a non-finite or blowing-up state is reported by NumericError alone
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, flat.size, chunk):
             c0_chunk = flat[start:start + chunk]
             _solve_rd(params, c0_chunk, out[start:start + chunk],
-                      scratch[:, :c0_chunk.size], schedule, start)
+                      scratch[:, :c0_chunk.size * n * n], schedule, start)
     return out.reshape(c0.shape + (n, n))
 
 
@@ -282,38 +289,48 @@ def _rd_schedule(params: RDParams):
     return space, steps_and_decays
 
 
-def _solve_rd(params: RDParams, c0: np.ndarray, c: np.ndarray, scratch: np.ndarray,
+def _solve_rd(params: RDParams, c0: np.ndarray, out: np.ndarray, scratch: np.ndarray,
               schedule, first: int):
-    """The explicit scheme, run in place on the contiguous (m, n, n) state
-    ``c`` from the constants ``c0``; ``scratch`` is three (m, n, n) arrays
-    and ``first`` the index of c0[0] among all samples, for the blow-up
+    """The explicit scheme from the constants ``c0`` into the contiguous
+    (m, n, n) ``out``; ``scratch`` is three flat arrays of m n^2 values and
+    ``first`` the index of c0[0] among all samples, for the blow-up
     message.
+
+    The state ``c`` is (n, m, n), grid row outermost, so the rows where
+    the reaction is on (y1 <= switch) are one contiguous prefix of ``r``
+    rows, and the reaction is formed on that prefix alone. The other rows
+    of ``react`` stay +0.0 and are added to ``nu * lap`` like the prefix.
+    The stencil adds a signed zero there, which is +0.0 wherever c is
+    -0.0, the one state whose update the sign of that zero can change; so
+    the bits are the stencil's. ``out`` serves as scratch until the final
+    state is copied into it.
 
     Zero-flux ghost cells reflect the edge cells, so the Laplacian is
     ((up + down) + left) + right - 4c. Each neighbour sum is one add over
-    the flat chunk shifted by a row (up, down) or a cell (left, right);
-    the edge rows and columns, where the shift reads the next row or
-    sample instead of the reflection, are then overwritten by edge adds.
+    the flat chunk shifted by a row plane (up, down) or a cell (left,
+    right); the edge planes and columns, where the shift reads past the
+    grid or the next sample instead of the reflection, are then
+    overwritten by edge adds.
     """
-    n = params.n
-    lap, react, tmp = scratch
-    edge = tmp[:, 0]  # one (m, n) column of sums, used before tmp is
-    amb = np.empty((n, n))
-    c_flat = c.reshape(-1)
-    lap_flat = lap.reshape(-1)
-    reacting = np.broadcast_to(params.cell_centers_1d()[:, None] <= params.switch, (n, n))
-    on_field = np.where(reacting, params.k_on, 0.0)
-    off_field = np.where(reacting, params.k_off, 0.0)
+    m, n = c0.size, params.n
+    plane = m * n
+    c, lap, react = (a.reshape(n, m, n) for a in scratch)
+    tmp = out.reshape(n, m, n)
+    edge = tmp.reshape(-1)[:plane].reshape(n, m)  # one column of sums, used before tmp is
+    c_flat, lap_flat = scratch[0], scratch[1]
+    r = int(np.count_nonzero(params.cell_centers_1d() <= params.switch))
+    rr = react[:r]
     inv_h2 = 1.0 / (params.h * params.h)
     cap = params.reaction_cap
     blow = 10.0 * cap
     space, steps_and_decays = schedule
-    c[...] = c0[:, None, None]
+    amb = np.empty((r, 1, n))
+    c[...] = c0[None, :, None]
+    react[r:] = 0.0
     for step, (dt_k, decay) in enumerate(steps_and_decays):
-        np.multiply(space, decay, out=amb)
-        np.add(c_flat[:-2 * n], c_flat[2 * n:], out=lap_flat[n:-n])  # up + down
-        np.add(c[:, 0], c[:, 1], out=lap[:, 0])
-        np.add(c[:, -2], c[:, -1], out=lap[:, -1])
+        np.add(c_flat[:-2 * plane], c_flat[2 * plane:], out=lap_flat[plane:-plane])  # up + down
+        np.add(c[0], c[1], out=lap[0])
+        np.add(c[-2], c[-1], out=lap[-1])
         np.add(lap[:, :, 0], c[:, :, 0], out=edge)  # + left
         np.add(lap_flat[1:], c_flat[:-1], out=lap_flat[1:])
         lap[:, :, 0] = edge
@@ -323,23 +340,25 @@ def _solve_rd(params: RDParams, c0: np.ndarray, c: np.ndarray, scratch: np.ndarr
         np.multiply(c, 4.0, out=tmp)
         lap -= tmp
         lap *= inv_h2
-        # c + dt_k * ((on * (cap - c)) * amb - off * c + nu * lap)
-        np.subtract(cap, c, out=react)
-        react *= on_field
-        react *= amb
-        np.multiply(c, off_field, out=tmp)
-        react -= tmp
+        # c + dt_k * ((k_on * (cap - c)) * amb - k_off * c + nu * lap)
+        np.multiply(space[:r, None, :], decay, out=amb)
+        np.subtract(cap, c[:r], out=rr)
+        rr *= params.k_on
+        rr *= amb
+        np.multiply(c[:r], params.k_off, out=tmp[:r])
+        rr -= tmp[:r]
         lap *= params.nu
-        react += lap
-        react *= dt_k
-        c += react
+        np.add(react, lap, out=lap)
+        lap *= dt_k
+        c += lap
         # negated so that a NaN state fails it as well
         if not max(c.max(), -c.min()) <= blow:
-            bad = int(np.argmin(np.abs(c).max(axis=(1, 2)) <= blow))
+            bad = int(np.argmin(np.abs(c).max(axis=(0, 2)) <= blow))
             raise NumericError(
                 f"rd2d solver blew up at step {step + 1} (|c| > {blow}); "
                 f"first sample {first + bad} with c0={float(c0[bad])!r}"
             )
+    out[...] = c.transpose(1, 0, 2)
 
 
 def gen_reaction_diffusion_2d(params: RDParams, n_samples: int, seed: int = 0) -> OperatorDataset:

@@ -272,6 +272,52 @@ def test_rd_solver_bytes_match_pad_stencil_property(n, nu, t_final, dt_frac, k_o
     _assert_matches_reference(params, n_samples, seed)
 
 
+# ICs where the solver skips work: signed zeros, values above the cap, and
+# values above a cap drawn below them. Where the reaction is off the solver
+# adds +0.0 in its place, which matters for a -0.0 cell only.
+SPECIAL_C0 = np.array([0.0, -0.0, 0.5, 1.0, 2.5, 3.9])
+
+
+@pytest.mark.parametrize("params", [
+    RDParams(n=8),
+    RDParams(n=8, nu=0.0),
+    RDParams(n=8, nu=-0.0),  # nu * lap is -0.0 at a -0.0 cell: the +0.0 added matters
+    RDParams(n=8, nu=0.0, dt=0.1, k_off=15.0),  # reacting rows overshoot below 0
+    RDParams(n=8, k_off=0.7, reaction_cap=0.4),  # cap below most ICs
+    RDParams(n=8, switch=0.375),  # on the centre of row 1: <= keeps it reacting
+    RDParams(n=32, k_on=1.3, switch=1.03125),  # on the centre of row 16
+    RDParams(n=9, switch=-1.0),
+    RDParams(n=9, switch=5.0),
+], ids=["default", "nu0", "nu-0", "overshoot", "cap-below", "switch-centre-n8",
+        "switch-centre-n32", "switch-below", "switch-above"])
+def test_rd_solver_bytes_match_pad_stencil_at_special_ics(params):
+    got = simulate_rd(params, SPECIAL_C0)
+    assert got.tobytes() == _reference_rd(params, SPECIAL_C0).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), nu=st.sampled_from([0.0, -0.0, 0.01, 0.1]),
+       t_final=st.floats(0.01, 0.6), dt_frac=st.floats(0.5, 1.0),
+       k_on=st.floats(0.0, 3.0), k_off=st.floats(0.0, 3.0),
+       cap=st.floats(0.25, 3.0), switch_row=st.integers(-1, 40),
+       c0=st.lists(st.sampled_from([0.0, -0.0, 0.3, 1.0, 2.0, 3.0]), max_size=40),
+       scale=st.floats(0.0, 1.0))
+def test_rd_solver_bytes_match_pad_stencil_rates_and_ics_property(
+        n, nu, t_final, dt_frac, k_on, k_off, cap, switch_row, c0, scale):
+    # the switch lies on a cell centre (the last one turns every row on)
+    # or below the grid. Every IC is in [0, 4.5 cap], and dt (2 k_on + k_off)
+    # <= 0.1 keeps each update a positive combination of the old values and
+    # the source, so no sample leaves [0, 4.5 cap] or blows up
+    base = RDParams(n=n, nu=nu, t_final=t_final)
+    centres = base.cell_centers_1d()
+    switch = centres[min(switch_row, n - 1)] if switch_row >= 0 else -1.0
+    dt = dt_frac * min(base.stability_bound(), t_final, 0.1 / (2.0 * k_on + k_off + 1e-9))
+    params = dataclasses.replace(base, dt=dt, k_on=k_on, k_off=k_off, reaction_cap=cap,
+                                 switch=switch)
+    ics = np.array(c0) * cap * (0.5 + scale)
+    assert simulate_rd(params, ics).tobytes() == _reference_rd(params, ics).tobytes()
+
+
 @pytest.mark.parametrize("params,n_samples,seed,crc_v,crc_u", [
     (RDParams(n=8, branch_grid=4), 12, 0, 0x0B54C2AF, 0x1AB159FC),
     (RDParams(), 240, 1, 0x29DAACCC, 0x2E723E95),
