@@ -69,9 +69,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"

@@ -154,6 +154,11 @@ def gen_antiderivative(n_samples: int, n_modes: int = 5, grid: int = 64,
     return OperatorDataset("antiderivative", locs, locs.copy(), u, v, meta)
 
 
+# Most solver steps an RDParams may ask for: the bundled grid takes 57 and
+# n = 64 about 230, so only a runaway nu, dt or t_final comes near it.
+RD_MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class RDParams:
     """Parameters of the 2D reaction-diffusion problem on [lo, hi]^2.
@@ -184,14 +189,22 @@ class RDParams:
             raise ConfigError("rd2d t_final must be positive")
         if not self.nu >= 0.0:  # NaN too
             raise ConfigError(f"rd2d nu must be >= 0, got {self.nu!r}")
+        bound = self.stability_bound()
+        if not bound > 0.0:
+            raise ConfigError(f"rd2d nu={self.nu!r} leaves no stable step on grid n={self.n}: "
+                              f"0.9 h^2 / (4 nu) = {bound!r}")
         if self.dt is not None:
             if self.dt <= 0.0:
                 raise ConfigError("rd2d dt must be positive")
-            if self.dt > self.stability_bound():
+            if self.dt > bound:
                 raise ConfigError(
                     f"rd2d dt={self.dt} violates the stability bound "
-                    f"{self.stability_bound():.6g} = 0.9 h^2 / (4 nu)"
+                    f"{bound:.6g} = 0.9 h^2 / (4 nu)"
                 )
+        steps = self.t_final / (self.dt or bound)  # NaN for an infinite t_final at nu = 0
+        if not steps <= RD_MAX_STEPS:
+            raise ConfigError(f"rd2d needs {steps:.3g} solver steps (t_final / dt, with dt at most "
+                              f"0.9 h^2 / (4 nu)), more than {RD_MAX_STEPS}")
 
     @property
     def h(self):

@@ -75,9 +75,6 @@ class MLP:
             out.append(b)
         return out
 
-    def weight_tensors(self):
-        return list(self.weights)
-
     def forward(self, x, tape=None) -> ad.Tensor:
         """Batched evaluation of (B, input_dim) rows.
 

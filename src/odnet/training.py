@@ -2,7 +2,10 @@
 
 Training is full-batch by default (desk-scale datasets are small); set
 ``batch_size`` for mini-batching over function indices. POD trunk members
-hold no trainable tensors, so they are frozen by construction.
+hold no trainable tensors, so they are frozen by construction. The
+optimizer holds the update rule's facts: which tensors AdamW decays (the
+2-d ones) and clearing the gradients it steps, so ``train`` asks a model
+only for ``predict``, ``parameters`` and ``parameter_hash``.
 """
 
 from __future__ import annotations
@@ -84,11 +87,12 @@ class Adam:
     """Adam with bias correction, one elementwise pass over flat vectors of
     values (a model's own), gradients and moments. A nonzero ``weight_decay``
     makes it AdamW: each step also subtracts ``lr * weight_decay * p`` from
-    each p in ``decay_params`` (the weights). A parameter whose ``grad`` is
-    None keeps its value and moments; a tensor listed twice is a ValueError."""
+    each 2-d p (the weights; biases are 1-d and a model bias 0-d). A
+    parameter whose ``grad`` is None keeps its value and moments; a tensor
+    listed twice is a ValueError."""
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0, decay_params=()):
+                 weight_decay: float = 0.0):
         self.params = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
@@ -99,14 +103,17 @@ class Adam:
         self._m = np.zeros_like(self._values)
         self._v = np.zeros_like(self._values)
         self._sizes = [p.data.size for p in self.params]
-        decayed = {id(p) for p in decay_params} if weight_decay != 0.0 else set()
-        self._decay = np.repeat([id(p) in decayed for p in self.params], self._sizes)
+        self._decay = np.repeat([p.data.ndim == 2 for p in self.params], self._sizes)
 
     def __setstate__(self, state):
         """A deep copy or an unpickled optimizer steps its own tensors: lay
         them out again, or adopt a copied model's vector."""
         self.__dict__.update(state)
         self._values, self._grads = ad._flat_parameters(self.params)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
 
     def step(self, lr: float):
         for p in self.params:  # a gradient assigned by hand joins the vector
@@ -130,7 +137,7 @@ class Adam:
 
 def make_optimizer(model, cfg: TrainConfig):
     decay = cfg.weight_decay if cfg.optimizer == "adamw" else 0.0
-    return Adam(model.parameters(), weight_decay=decay, decay_params=model.weight_tensors())
+    return Adam(model.parameters(), weight_decay=decay)
 
 
 def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainReport:
@@ -198,7 +205,7 @@ def _step(model, optimizer, u_t, v_t, y, lr) -> float:
     value = float(loss.data)
     if not np.isfinite(value):
         raise NumericError(f"first non-finite tensor is {_first_nonfinite(model, tape)}")
-    model.zero_grad()
+    optimizer.zero_grad()
     tape.backward(loss)
     optimizer.step(lr)
     return value

@@ -80,9 +80,6 @@ class VanillaTrunk:
     def parameters(self):
         return self.mlp.parameters()
 
-    def weight_tensors(self):
-        return self.mlp.weight_tensors()
-
     def basis_columns(self, y, columns) -> np.ndarray:
         return self.forward(self.bind(y)).data[:, columns]
 
@@ -153,9 +150,6 @@ class PODTrunk:
     def parameters(self):
         return []
 
-    def weight_tensors(self):
-        return []
-
     def basis_columns(self, y, columns) -> np.ndarray:
         """Unscaled basis function values (phi0 or an eigenmode)."""
         table = self.basis.modes
@@ -222,9 +216,6 @@ class PoUTrunk:
 
     def parameters(self):
         return [t for e in self.experts for t in e.parameters()]
-
-    def weight_tensors(self):
-        return [t for e in self.experts for t in e.weight_tensors()]
 
     def basis_columns(self, y, columns) -> np.ndarray:
         """Blended columns; exactly 0 at points outside every patch."""
@@ -334,15 +325,6 @@ class EnsembleModel:
         if self.bias is not None:
             params.append(self.bias)
         return params
-
-    def weight_tensors(self):
-        ws = [t for m in self.members for t in m.weight_tensors()]
-        ws.extend(self.branch.weight_tensors())
-        return ws
-
-    def zero_grad(self):
-        for t in self.parameters():
-            t.zero_grad()
 
     def parameter_hash(self) -> str:
         """CRC32 of every parameter's bytes in ``parameters()`` order."""

@@ -99,6 +99,9 @@ MALFORMED = [
     ("gen", ANTI_CFG, "seeds = 0", "seeds = -1"),
     ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 0"),
     ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = -0.1"),
+    ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = 1e308"),  # bound underflows to 0
+    ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = 1e8"),  # 3.6e9 steps
+    ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\ndt = 1e-12"),
     ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = nan"),
     ("gen", ANTI_CFG, "modes = 4", "modes = 0"),
     ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = 1e-3\nbatch = -1"),

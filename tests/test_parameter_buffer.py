@@ -158,10 +158,10 @@ def test_an_expert_without_points_keeps_its_value_and_moments():
     assert np.all(pou_weight_matrix(ps, y_left)[:, 1] == 0.0)
     u = rng.uniform(-1, 1, size=(5, 4))
     params = model.parameters()
-    optimizer = Adam(params, weight_decay=0.01, decay_params=model.weight_tensors())
+    optimizer = Adam(params, weight_decay=0.01)
 
     def step(y):
-        model.zero_grad()
+        optimizer.zero_grad()
         tape = ad.Tape()
         tape.backward(mse_loss(model.predict(u, y, tape), np.ones((5, len(y))), tape))
         optimizer.step(1e-2)

@@ -132,7 +132,7 @@ class ServedEntry(RuleBasedStateMachine):
         tape = ad.Tape()
         self._predict(y, True)  # the same prediction, checked
         loss = mse_loss(self.model.predict(U, y, tape), TARGETS[:4], tape)
-        self.model.zero_grad()
+        self.optimizer.zero_grad()
         tape.backward(loss)
         self.optimizer.step(1e-2)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from odnet.training import (
     Adam,
     TrainConfig,
     inverse_time_lr,
+    make_optimizer,
     mse_loss,
     train,
 )
@@ -83,12 +85,12 @@ def test_adam_determinism():
 
 def test_adamw_reduces_to_adam_when_decay_zero():
     rng = np.random.default_rng(6)
-    init = rng.normal(size=(4,))
-    grads = [rng.normal(size=(4,)) for _ in range(10)]
+    init = rng.normal(size=(2, 2))
+    grads = [rng.normal(size=(2, 2)) for _ in range(10)]
 
     def run(flagged):
         w = ad.Tensor(init.copy(), requires_grad=True)
-        opt = Adam([w], weight_decay=0.0, decay_params=[w]) if flagged else Adam([w])
+        opt = Adam([w], weight_decay=0.0) if flagged else Adam([w])
         for g in grads:
             w.grad = g.copy()
             opt.step(0.05)
@@ -99,20 +101,20 @@ def test_adamw_reduces_to_adam_when_decay_zero():
 
 def test_adamw_decay_only_value():
     # g=0, w=1, lambda=0.01, lr=0.1, zero state -> w = 0.999
-    w = ad.Tensor(np.array(1.0), requires_grad=True)
-    w.grad = np.array(0.0)
-    opt = Adam([w], weight_decay=0.01, decay_params=[w])
+    w = ad.Tensor(np.array([[1.0]]), requires_grad=True)
+    w.grad = np.array([[0.0]])
+    opt = Adam([w], weight_decay=0.01)
     opt.step(0.1)
-    assert float(w.data) == pytest.approx(0.999, abs=1e-15)
+    assert float(w.data[0, 0]) == pytest.approx(0.999, abs=1e-15)
 
 
 def test_adamw_random_step_matches_formula_oracle():
     rng = np.random.default_rng(7)
-    w0 = rng.normal(size=(5,))
-    g = rng.normal(size=(5,))
+    w0 = rng.normal(size=(1, 5))
+    g = rng.normal(size=(1, 5))
     lam, lr, b1, b2, eps = 0.02, 0.05, 0.9, 0.999, 1e-8
     w = ad.Tensor(w0.copy(), requires_grad=True)
-    opt = Adam([w], weight_decay=lam, decay_params=[w])
+    opt = Adam([w], weight_decay=lam)
     w.grad = g.copy()
     opt.step(lr)
     m_hat = (1 - b1) * g / (1 - b1)
@@ -122,14 +124,15 @@ def test_adamw_random_step_matches_formula_oracle():
 
 
 def test_adamw_skips_bias_decay():
-    w = ad.Tensor(np.array(1.0), requires_grad=True)
-    b = ad.Tensor(np.array(1.0), requires_grad=True)
-    w.grad = np.array(0.0)
-    b.grad = np.array(0.0)
-    opt = Adam([w, b], weight_decay=0.01, decay_params=[w])
+    # AdamW decays the 2-d parameters (weights), not a (1,) bias
+    w = ad.Tensor(np.array([[1.0]]), requires_grad=True)
+    b = ad.Tensor(np.array([1.0]), requires_grad=True)
+    w.grad = np.array([[0.0]])
+    b.grad = np.array([0.0])
+    opt = Adam([w, b], weight_decay=0.01)
     opt.step(0.1)
-    assert float(w.data) == pytest.approx(0.999, abs=1e-15)
-    assert float(b.data) == 1.0
+    assert float(w.data[0, 0]) == pytest.approx(0.999, abs=1e-15)
+    assert float(b.data[0]) == 1.0
 
 
 # --- schedule ---
@@ -179,12 +182,6 @@ class _OneParamLinear:
 
     def parameters(self):
         return [self.w]
-
-    def weight_tensors(self):
-        return [self.w]
-
-    def zero_grad(self):
-        self.w.zero_grad()
 
     def parameter_hash(self):
         return self.w.data.tobytes().hex()
@@ -354,6 +351,67 @@ def test_minibatch_history_length_and_progress():
     assert report.losses[-1] < report.losses[0]
 
 
+class _Recording:
+    """Trains like ``model`` and keeps each taped batch's inputs and
+    predictions, copied when they are made."""
+
+    def __init__(self, model):
+        self.model = model
+        self.batches = []
+
+    def predict(self, u, y, tape=None):
+        pred = self.model.predict(u, y, tape)
+        if tape is not None:
+            self.batches.append((u.data.copy(), pred.data.copy()))
+        return pred
+
+    def parameters(self):
+        return self.model.parameters()
+
+    def parameter_hash(self):
+        return self.model.parameter_hash()
+
+
+def test_a_batch_of_at_least_n_is_the_full_batch():
+    u, v, y = _toy_problem(np.random.default_rng(12), n=10)
+    runs = []
+    for batch_size in (0, 10, 13):
+        model = _vanilla_model(seed=12)
+        cfg = TrainConfig(epochs=6, lr0=1e-2, optimizer="adamw", batch_size=batch_size, seed=1)
+        runs.append((train(model, u, v, y, cfg).losses, model.parameter_hash()))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _minibatch_run(seed, epochs=4):
+    u, v, y = _toy_problem(np.random.default_rng(13), n=10)
+    model = _Recording(_vanilla_model(seed=13))
+    cfg = TrainConfig(epochs=epochs, lr0=1e-2, optimizer="adamw", batch_size=4, seed=seed)
+    return u, v, model, train(model, u, v, y, cfg)
+
+
+def test_minibatches_of_four_over_ten_functions():
+    epochs = 4
+    u, v, model, report = _minibatch_run(seed=3, epochs=epochs)
+    assert [len(b) for b, _ in model.batches] == [4, 4, 2] * epochs  # 3 taped steps per epoch
+    for e in range(epochs):
+        epoch = model.batches[3 * e: 3 * e + 3]
+        rows = [int(np.flatnonzero((u == row).all(axis=1))[0]) for b, _ in epoch for row in b]
+        assert sorted(rows) == list(range(10))  # one permutation of the functions
+        # the epoch loss is the batch losses weighted by batch size
+        weighted, at = 0.0, 0
+        for b, pred in epoch:
+            weighted += len(b) * np.mean((pred - v[rows[at: at + len(b)]]) ** 2)
+            at += len(b)
+        assert report.losses[e] == pytest.approx(weighted / 10, rel=1e-12)
+    _, _, again, repeat = _minibatch_run(seed=3, epochs=epochs)
+    assert repeat.losses == report.losses and repeat.param_hash == report.param_hash
+    assert [p.tobytes() for _, p in again.batches] == [p.tobytes() for _, p in model.batches]
+
+
+def test_minibatch_order_follows_the_seed():
+    assert _minibatch_run(seed=3)[3].param_hash != _minibatch_run(seed=4)[3].param_hash
+
+
 def test_report_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     u, v, y = _toy_problem(rng)
@@ -397,6 +455,28 @@ for path in sys.argv[1:]:
           dataclasses.replace(cfg.train, epochs=20))
     print(model.parameter_hash())
 """
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_adamw_decays_exactly_the_weight_matrices(name):
+    # every parameter at 1 with a zero gradient: a step moves only what
+    # AdamW decays, to 1 - lr * weight_decay
+    from test_trunks import _bundled
+
+    cfg, _, model = _bundled(name)
+    optimizer = make_optimizer(model, dataclasses.replace(cfg.train, optimizer="adamw",
+                                                          weight_decay=0.5))
+    for p in model.parameters():
+        p.data[...] = 1.0
+        p.grad = np.zeros_like(p.data)
+    optimizer.step(1.0)
+    moved = [p for p in model.parameters() if not np.all(p.data == 1.0)]
+    assert all(np.all(p.data == 0.5) for p in moved)
+    nets = [model.branch]
+    for m in model.members:
+        nets.extend([m.mlp] if isinstance(m, VanillaTrunk) else getattr(m, "experts", []))
+    weights = [w for net in nets for w in net.weights]
+    assert {id(p) for p in moved} == {id(w) for w in weights} and len(moved) == len(weights)
 
 
 def test_twenty_epoch_hashes_of_bundled_configs_are_pinned():
