@@ -38,7 +38,6 @@ from .evaluation import (
 )
 from .networks import MLP, MLPConfig, init_mlp
 from .partition import (
-    Patch,
     PatchSet,
     coverage_check,
     grid_patch_centers,
@@ -86,7 +85,6 @@ __all__ = [
     "NumericError",
     "OdnetError",
     "OperatorDataset",
-    "Patch",
     "PatchSet",
     "PODBasis",
     "PODTrunk",

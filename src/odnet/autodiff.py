@@ -39,11 +39,12 @@ class Tensor:
 
     ``grad`` is set on first accumulation, with the shape of ``data``: a
     copy, or its slice of a gradient vector (``_grad_slot``) once
-    ``_flat_parameters`` has laid it out. Tensors that never participate in
-    a recorded computation are plain immutable value carriers.
+    ``_flat_parameters`` has laid it out, at element offset ``_at`` of its
+    vector. Tensors that never participate in a recorded computation are
+    plain immutable value carriers.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked", "_grad_slot")
+    __slots__ = ("data", "requires_grad", "grad", "_tracked", "_grad_slot", "_at")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -54,12 +55,13 @@ class Tensor:
         self.grad = None
         # True once this tensor can influence a loss recorded on some tape.
         self._tracked = self.requires_grad
-        self._grad_slot = None
+        self._grad_slot = self._at = None
 
     def __getstate__(self):
         """A copied or unpickled tensor owns its data and lies in no vector
         until ``_flat_parameters`` lays it out again."""
-        return None, {**{name: getattr(self, name) for name in self.__slots__}, "_grad_slot": None}
+        state = {name: getattr(self, name) for name in self.__slots__}
+        return None, {**state, "_grad_slot": None, "_at": None}
 
     @property
     def shape(self):
@@ -102,11 +104,9 @@ def _flat_parameters(tensors):
     bounds = list(itertools.accumulate((t.data.size for t in tensors), initial=0))
     laid_out = [t._grad_slot is not None for t in tensors]
     if tensors and all(laid_out):
-        values, grads = tensors[0].data.base, tensors[0]._grad_slot.base
-        at = (np.array([t.data.ctypes.data for t in tensors]) - values.ctypes.data) // 8
-        if all(t.data.base is values and t._grad_slot.base is grads for t in tensors) \
-                and np.array_equal(at - at[0], bounds[:-1]):
-            return values[at[0]:at[0] + bounds[-1]], grads[at[0]:at[0] + bounds[-1]]
+        values, grads, at0 = tensors[0].data.base, tensors[0]._grad_slot.base, tensors[0]._at
+        if all(t.data.base is values and t._at == at0 + lo for t, lo in zip(tensors, bounds)):
+            return values[at0:at0 + bounds[-1]], grads[at0:at0 + bounds[-1]]
     if any(laid_out):
         raise ValueError("parameter tensors already lie in a buffer, but not in this order")
     values = np.concatenate([t.data.ravel() for t in tensors] or [np.zeros(0)])
@@ -114,6 +114,7 @@ def _flat_parameters(tensors):
     for t, lo, hi in zip(tensors, bounds, bounds[1:]):
         t.data = values[lo:hi].reshape(t.data.shape)
         t._grad_slot = grads[lo:hi].reshape(t.data.shape)
+        t._at = lo
     return values, grads
 
 

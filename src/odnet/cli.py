@@ -107,9 +107,11 @@ def cmd_train(args) -> int:
         cfg.train, epochs=args.epochs, lr0=args.lr0, optimizer=args.optimizer,
     ))
     seeds = args.seeds or cfg.seeds
-    jobs = max(1, args.jobs)
+    # the whole seed list is checked before the first run writes a file
+    cfg = dataclasses.replace(cfg, seeds=seeds, train=dataclasses.replace(cfg.train, seed=seeds[0]))
+    jobs = min(max(1, args.jobs), len(seeds))  # a fork pool starts all its workers at once
     results = []
-    if jobs == 1 or len(seeds) == 1:
+    if jobs == 1:
         for seed in seeds:
             results.append(_train_one_seed(cfg, args.data, seed, args.out))
     else:

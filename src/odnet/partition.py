@@ -1,9 +1,11 @@
 """Overlapping ball patches, the Wendland C2 kernel, and partition-of-unity
 weights for the mixture-of-experts trunk.
 
-A point is covered by a patch only if it lies strictly inside (the kernel
-vanishes on the boundary). Weights are normalized kernels, so they are
-nonnegative and sum to one wherever at least one patch covers the point.
+A patch set is two arrays, the ball centres (P, d) and radii (P,), held
+read-only. A point is covered by a patch only if it lies strictly inside
+(the kernel vanishes on the boundary). Weights are normalized kernels, so
+they are nonnegative and sum to one wherever at least one patch covers
+the point.
 """
 
 from __future__ import annotations
@@ -27,53 +29,32 @@ def wendland_c2(r):
     return val
 
 
-class Patch:
-    """One ball: center point and positive radius."""
-
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center, radius: float):
-        self.center = np.ascontiguousarray(center, dtype=np.float64).reshape(-1)
-        self.radius = float(radius)
-        if self.radius <= 0.0:
-            raise ValueError("patch radius must be positive")
-
-    @property
-    def dimension(self):
-        return self.center.shape[0]
-
-    def __repr__(self):
-        return f"Patch(center={self.center.tolist()}, radius={self.radius})"
-
-
 class PatchSet:
-    """Immutable collection of P same-dimension patches plus the overlap
-    parameter delta used when the set was constructed."""
+    """P balls of one dimension d: read-only float64 copies of the caller's
+    ``centers`` (P, d) and ``radii`` (P,), so weights computed from a set
+    stay valid for it, and the overlap ``delta`` the radii were sized with.
+    Arrays of other shapes (ragged rows included) are a ShapeError; no
+    patches, or a radius that is not > 0 (NaN included), a ValueError."""
 
-    def __init__(self, patches, delta: float = 0.0):
-        patches = list(patches)
-        if not patches:
+    def __init__(self, centers, radii, delta: float = 0.0):
+        try:
+            centers = np.array(centers, dtype=np.float64)
+            radii = np.array(radii, dtype=np.float64)
+        except ValueError:  # ragged rows
+            raise ShapeError("PatchSet: centers and radii must be (P, d) and (P,) arrays") from None
+        if not radii.size:
             raise ValueError("PatchSet needs at least one patch")
-        d = patches[0].dimension
-        for p in patches:
-            if p.dimension != d:
-                raise ShapeError("all patches must share one dimension")
-        self.patches = tuple(patches)
-        self.dimension = d
-        self.delta = float(delta)
-        self._centers = np.stack([p.center for p in patches])
-        self._radii = np.array([p.radius for p in patches])
+        if centers.ndim != 2 or radii.shape != centers.shape[:1]:
+            raise ShapeError(f"PatchSet: centers {centers.shape} and radii {radii.shape} "
+                             "must be (P, d) and (P,)")
+        if not (radii > 0.0).all():
+            raise ValueError("patch radius must be positive")
+        centers.flags.writeable = radii.flags.writeable = False
+        self.centers, self.radii, self.delta = centers, radii, float(delta)
+        self.dimension = centers.shape[1]
 
     def __len__(self):
-        return len(self.patches)
-
-    @property
-    def centers(self):
-        return self._centers
-
-    @property
-    def radii(self):
-        return self._radii
+        return len(self.radii)
 
 
 def kernel_matrix(ps: PatchSet, points: np.ndarray) -> np.ndarray:

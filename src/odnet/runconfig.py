@@ -24,13 +24,7 @@ from . import autodiff as ad
 from . import data as datamod
 from .errors import ConfigError, CoverageError
 from .networks import ACTIVATIONS, MLPConfig, init_mlp
-from .partition import (
-    Patch,
-    PatchSet,
-    coverage_check,
-    grid_patch_centers,
-    uniform_radius,
-)
+from .partition import PatchSet, coverage_check, grid_patch_centers, uniform_radius
 from .pod import compute_pod
 from .trunks import EnsembleModel, PODTrunk, PoUTrunk, VanillaTrunk
 from .training import TrainConfig
@@ -132,8 +126,8 @@ class RunConfig:
             raise ConfigError("branch_hidden needs at least one width, all >= 1")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError("[train] seeds must list at least one seed, all >= 0")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("[train] seeds must list at least one seed, all >= 0, none twice")
         if self.train.seed != self.seeds[0]:
             raise ConfigError(f"[train] seeds[0] {self.seeds[0]} != train.seed {self.train.seed}")
 
@@ -327,7 +321,7 @@ def build_patchset(spec: TrunkSpec) -> PatchSet:
         # single node per axis: fall back to the box side length
         spacings = [hi - lo for lo, hi in zip(lows, highs)]
     rho = uniform_radius(spec.delta, max(spacings), axes)
-    return PatchSet([Patch(c, rho) for c in centers], delta=spec.delta)
+    return PatchSet(centers, np.full(len(centers), rho), delta=spec.delta)
 
 
 def _seed_streams(seed, tag: int, count: int) -> list:

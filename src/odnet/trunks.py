@@ -32,8 +32,9 @@ edit evaluates the trunk again, and a new Y (or the same array changed in
 place) replaces the entry. Rebinding a parameter's ``data`` is not
 supported. The branch and one product, with the bias and the offset
 added in place, run on every call, so outputs are the same bits either
-way. POD columns are constants of the basis and are not checked. The
-entry holds no reference to its model, so a dead model is freed at once.
+way. POD columns are constants of the basis, and PoU patch arrays are
+read-only, so neither is checked. The entry holds no reference to its
+model, so a dead model is freed at once.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from odnet.errors import DataError
 from odnet.evaluation import evaluate_model
 from odnet.networks import MLPConfig, init_mlp
 from odnet.partition import (
-    Patch,
     PatchSet,
     coverage_check,
     pou_weight_matrix,
@@ -90,7 +89,7 @@ def test_partition_of_unity_invariant():
         n_patches = int(rng.integers(2, 8))
         centers = rng.uniform(-1.0, 1.0, size=(n_patches, d))
         radii = rng.uniform(0.4, 1.6, size=n_patches)
-        ps = PatchSet([Patch(c, r) for c, r in zip(centers, radii)])
+        ps = PatchSet(centers, radii)
         pts = rng.uniform(-1.3, 1.3, size=(300, d))
         uncovered = set(coverage_check(ps, pts))
         covered = np.array([i for i in range(300) if i not in uncovered])
@@ -211,7 +210,7 @@ def test_ensemble_of_one_equivalence():
 def test_pou_locality_of_perturbations():
     start = time.perf_counter()
     rng = np.random.default_rng(47)
-    ps = PatchSet([Patch([-0.6, 0.0], 1.2), Patch([0.6, 0.0], 1.2)], delta=0.1)
+    ps = PatchSet([[-0.6, 0.0], [0.6, 0.0]], [1.2, 1.2], delta=0.1)
     experts = [init_mlp(MLPConfig(2, (12, 12), 6, "tanh", True), k) for k in range(2)]
     from odnet.trunks import PoUTrunk
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import struct
 import zlib
 from pathlib import Path
@@ -97,6 +98,7 @@ MALFORMED = [
     ("train", POD_CFG, "p = 3", "p = 16"),  # 15 training snapshots
     ("gen", ANTI_CFG, "seed = 3", "seed = -1"),
     ("gen", ANTI_CFG, "seeds = 0", "seeds = -1"),
+    ("gen", ANTI_CFG, "seeds = 0", "seeds = 0 0"),
     ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 0"),
     ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = -0.1"),
     ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = 1e308"),  # bound underflows to 0
@@ -303,6 +305,49 @@ def test_train_parallel_jobs(anti_config, tmp_path):
     m_par, _, _ = load_checkpoint(str(tmp_path / "par-seed3.odm"), ds)
     m_ser, _, _ = load_checkpoint(str(tmp_path / "ser-seed3.odm"), ds)
     assert m_par.parameter_hash() == m_ser.parameter_hash()
+
+
+def test_train_jobs_start_at_most_one_worker_per_seed(anti_config, tmp_path, monkeypatch):
+    # a fork pool starts all max_workers on its first submit; this stand-in
+    # records what was asked for and runs each call inline, starting nothing
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    data = str(tmp_path / "anti.odn")
+    assert main(["gen", anti_config, "--out", data]) == 0
+    assert main([
+        "train", anti_config, data, "--out", str(tmp_path / "run"),
+        "--seeds", "3,4", "--epochs", "1", "--jobs", "64",
+    ]) == 0
+    assert requested == [2]
+    assert (tmp_path / "run-seed3.odm").exists() and (tmp_path / "run-seed4.odm").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0,0", "0,-1"])
+def test_a_bad_seed_list_exits_2_before_any_run(seeds, anti_config, tmp_path, capsys):
+    data = tmp_path / "anti.odn"
+    assert main(["gen", anti_config, "--out", str(data)]) == 0
+    written = set(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["train", anti_config, str(data), "--out", str(tmp_path / "run"),
+                 "--seeds", seeds]) == 2
+    assert capsys.readouterr().err.startswith("config error: [train] seeds ")
+    assert set(tmp_path.iterdir()) == written
 
 
 def test_eval_summary_matches_api(pod_config, tmp_path, capsys):

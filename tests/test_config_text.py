@@ -59,7 +59,7 @@ def data_specs(draw):
 @st.composite
 def run_configs(draw):
     member_names = draw(st.lists(names, min_size=1, max_size=4, unique=True))
-    run_seeds = draw(st.lists(seeds, min_size=1, max_size=4))
+    run_seeds = draw(st.lists(seeds, min_size=1, max_size=4, unique=True))
     train = TrainConfig(
         epochs=draw(st.integers(1, 10**7)), optimizer=draw(st.sampled_from(OPTIMIZERS)),
         lr0=draw(nonneg), gamma=draw(nonneg), decay_step=draw(st.integers(min_value=0)),

@@ -15,7 +15,7 @@ import pytest
 from odnet import autodiff as ad
 from odnet.checkpoint import load_checkpoint, save_checkpoint
 from odnet.networks import MLPConfig, init_mlp
-from odnet.partition import Patch, PatchSet, pou_weight_matrix
+from odnet.partition import PatchSet, pou_weight_matrix
 from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
 from odnet.training import Adam, TrainConfig, make_optimizer, mse_loss, train
 from odnet.trunks import EnsembleModel, PoUTrunk, VanillaTrunk
@@ -147,7 +147,7 @@ def test_an_expert_without_points_keeps_its_value_and_moments():
     # both experts learn at y_all; at y_left only expert 0 has points, so
     # expert 1 has no gradient and neither its weights (decay included)
     # nor its moments may move
-    ps = PatchSet([Patch([-0.5, 0.0], 1.4), Patch([0.5, 0.0], 1.4)], delta=0.1)
+    ps = PatchSet([[-0.5, 0.0], [0.5, 0.0]], [1.4, 1.4], delta=0.1)
     ecfg = MLPConfig(2, (6,), 3, "tanh", activate_last=True)
     pou = PoUTrunk(ps, [init_mlp(ecfg, k) for k in range(2)], 3)
     model = EnsembleModel([pou], init_mlp(MLPConfig(4, (6,), 3, "tanh", False), 7),

@@ -5,7 +5,6 @@ import pytest
 
 from odnet.errors import CoverageError, ShapeError
 from odnet.partition import (
-    Patch,
     PatchSet,
     coverage_check,
     grid_patch_centers,
@@ -16,9 +15,10 @@ from odnet.partition import (
 )
 
 
-def kernel_value(patch, y):
+def kernel_value(center, radius, y):
     """Kernel of one point against one patch through the batched path."""
-    return kernel_matrix(PatchSet([patch]), np.asarray(y, dtype=np.float64)[None])[0, 0]
+    ps = PatchSet([center], [radius])
+    return kernel_matrix(ps, np.asarray(y, dtype=np.float64)[None])[0, 0]
 
 
 def pou_weights(ps, y):
@@ -61,15 +61,15 @@ def test_wendland_boundary_smoothness():
 
 
 def test_kernel_value_cases():
-    patch = Patch([1.0, 2.0], 2.0)
-    assert kernel_value(patch, [1.0, 2.0]) == 1.0
-    assert kernel_value(patch, [3.0, 2.0]) == 0.0  # distance == radius
-    assert kernel_value(patch, [2.0, 2.0]) == 0.1875  # distance == radius/2
+    patch = ([1.0, 2.0], 2.0)
+    assert kernel_value(*patch, [1.0, 2.0]) == 1.0
+    assert kernel_value(*patch, [3.0, 2.0]) == 0.0  # distance == radius
+    assert kernel_value(*patch, [2.0, 2.0]) == 0.1875  # distance == radius/2
 
 
 def test_kernel_value_dimension_mismatch():
     with pytest.raises(ShapeError):
-        kernel_value(Patch([0.0, 0.0], 1.0), [0.0, 0.0, 0.0])
+        kernel_value([0.0, 0.0], 1.0, [0.0, 0.0, 0.0])
 
 
 def test_kernel_translation_and_scale_covariance():
@@ -80,37 +80,34 @@ def test_kernel_translation_and_scale_covariance():
         rho = rng.uniform(0.5, 2.0)
         shift = rng.uniform(-5, 5, size=3)
         s = rng.uniform(0.1, 4.0)
-        base = kernel_value(Patch(c, rho), y)
-        shifted = kernel_value(Patch(c + shift, rho), y + shift)
-        scaled = kernel_value(Patch(s * c, s * rho), s * y)
+        base = kernel_value(c, rho, y)
+        shifted = kernel_value(c + shift, rho, y + shift)
+        scaled = kernel_value(s * c, s * rho, s * y)
         assert shifted == pytest.approx(base, abs=1e-12)
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
 def test_pou_single_patch_weight_one():
-    ps = PatchSet([Patch([0.0, 0.0], 1.0), Patch([5.0, 5.0], 1.0)])
+    ps = PatchSet([[0.0, 0.0], [5.0, 5.0]], [1.0, 1.0])
     w = pou_weights(ps, [0.1, 0.0])
     np.testing.assert_allclose(w, [1.0, 0.0])
 
 
 def test_pou_symmetric_point_half_half():
-    ps = PatchSet([Patch([-0.5, 0.0], 1.0), Patch([0.5, 0.0], 1.0)])
+    ps = PatchSet([[-0.5, 0.0], [0.5, 0.0]], [1.0, 1.0])
     w = pou_weights(ps, [0.0, 0.0])
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
 
 def test_pou_three_patch_scalar_oracle():
-    patches = [
-        Patch([0.0, 0.0], 1.2),
-        Patch([1.0, 0.0], 1.0),
-        Patch([0.5, 0.8], 0.9),
-    ]
-    ps = PatchSet(patches)
+    centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
+    radii = [1.2, 1.0, 0.9]
+    ps = PatchSet(centers, radii)
     rng = np.random.default_rng(4)
     checked = 0
     while checked < 25:
         y = rng.uniform(-0.5, 1.5, size=2)
-        psi = [scalar_wendland(np.linalg.norm(y - p.center) / p.radius) for p in patches]
+        psi = [scalar_wendland(np.linalg.norm(y - c) / r) for c, r in zip(centers, radii)]
         if sum(psi) <= 0.0:
             continue
         expected = np.array(psi) / sum(psi)
@@ -119,7 +116,7 @@ def test_pou_three_patch_scalar_oracle():
 
 
 def test_pou_uncovered_point_errors():
-    ps = PatchSet([Patch([0.0, 0.0], 1.0)])
+    ps = PatchSet([[0.0, 0.0]], [1.0])
     with pytest.raises(CoverageError):
         pou_weights(ps, [5.0, 5.0])
     # non-strict mode leaves the row zero instead
@@ -135,7 +132,7 @@ def test_partition_of_unity_property_2d_3d():
         n_patches = rng.integers(2, 7)
         centers = rng.uniform(-1, 1, size=(n_patches, d))
         radii = rng.uniform(0.5, 1.5, size=n_patches)
-        ps = PatchSet([Patch(c, r) for c, r in zip(centers, radii)])
+        ps = PatchSet(centers, radii)
         pts = rng.uniform(-1.2, 1.2, size=(400, d))
         covered = [i for i in range(400) if i not in set(coverage_check(ps, pts))]
         w = pou_weight_matrix(ps, pts[covered])
@@ -146,7 +143,7 @@ def test_partition_of_unity_property_2d_3d():
 
 
 def test_compact_support_weight_zero_outside():
-    ps = PatchSet([Patch([0.0, 0.0], 1.0), Patch([0.5, 0.0], 1.0)])
+    ps = PatchSet([[0.0, 0.0], [0.5, 0.0]], [1.0, 1.0])
     w = pou_weights(ps, [1.2, 0.0])  # outside patch 0, inside patch 1
     assert w[0] == 0.0
     assert w[1] == 1.0
@@ -185,11 +182,11 @@ def test_uniform_radius_substitutions():
 
 
 def test_coverage_check_cases():
-    ps = PatchSet([Patch([0.0, 0.0], 2.0)])
+    ps = PatchSet([[0.0, 0.0]], [2.0])
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, -0.5]])
     assert coverage_check(ps, pts) == []
     # exactly on the boundary counts as uncovered
-    ps2 = PatchSet([Patch([0.0, 0.0], 1.0), Patch([2.0, 0.0], 1.0)])
+    ps2 = PatchSet([[0.0, 0.0], [2.0, 0.0]], [1.0, 1.0])
     assert coverage_check(ps2, np.array([[1.0, 0.0]])) == [0]
 
 
@@ -197,7 +194,7 @@ def test_coverage_check_matches_brute_force():
     rng = np.random.default_rng(8)
     centers = rng.uniform(-1, 1, size=(4, 2))
     radii = rng.uniform(0.3, 0.9, size=4)
-    ps = PatchSet([Patch(c, r) for c, r in zip(centers, radii)])
+    ps = PatchSet(centers, radii)
     pts = rng.uniform(-1.5, 1.5, size=(200, 2))
     brute = [
         i for i, y in enumerate(pts)
@@ -208,8 +205,27 @@ def test_coverage_check_matches_brute_force():
 
 def test_patchset_validation():
     with pytest.raises(ValueError):
-        PatchSet([])
+        PatchSet(np.zeros((0, 2)), [])
     with pytest.raises(ValueError):
-        Patch([0.0], -1.0)
-    with pytest.raises(ShapeError):
-        PatchSet([Patch([0.0], 1.0), Patch([0.0, 0.0], 1.0)])
+        PatchSet([[0.0]], [-1.0])
+    with pytest.raises(ValueError):  # a NaN radius would make every weight NaN
+        PatchSet([[0.0], [1.0]], [1.0, np.nan])
+    with pytest.raises(ShapeError):  # mixed dimensions: ragged rows
+        PatchSet([[0.0], [0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(ShapeError):  # three radii for two centres
+        PatchSet([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
+
+
+def test_patchset_holds_read_only_copies():
+    centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+    radii = np.array([1.0, 1.5])
+    ps = PatchSet(centers, radii, delta=0.1)
+    assert (len(ps), ps.dimension, ps.delta) == (2, 2, 0.1)
+    centers[0, 0] = 9.0
+    radii[1] = 9.0
+    np.testing.assert_array_equal(ps.centers, [[0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(ps.radii, [1.0, 1.5])
+    with pytest.raises(ValueError):
+        ps.centers[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ps.radii[0] = 2.0

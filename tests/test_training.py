@@ -11,7 +11,7 @@ import odnet
 from odnet import autodiff as ad
 from odnet.errors import NumericError, ShapeError
 from odnet.networks import MLPConfig, init_mlp
-from odnet.partition import Patch, PatchSet, pou_weight_matrix
+from odnet.partition import PatchSet, pou_weight_matrix
 from odnet.pod import compute_pod
 from odnet.training import (
     Adam,
@@ -281,7 +281,7 @@ def test_pod_member_parameters_frozen_by_training():
 def test_gradient_flow_completeness_on_pou():
     # one patch covers every training point, a second patch covers none:
     # after a step, only the populated expert moved
-    ps = PatchSet([Patch([0.0, 0.0], 2.0), Patch([10.0, 10.0], 0.5)])
+    ps = PatchSet([[0.0, 0.0], [10.0, 10.0]], [2.0, 0.5])
     cfg_e = MLPConfig(2, (6,), 3, "tanh", True)
     experts = [init_mlp(cfg_e, k) for k in range(2)]
     trunk = PoUTrunk(ps, experts, 3)
@@ -316,7 +316,7 @@ def test_pou_weights_computed_once_per_train(monkeypatch, batch_size):
         return pou_weight_matrix(*args, **kwargs)
 
     monkeypatch.setattr(odnet.trunks, "pou_weight_matrix", counting)
-    ps = PatchSet([Patch([-0.5], 1.0), Patch([0.5], 1.0)])
+    ps = PatchSet([[-0.5], [0.5]], [1.0, 1.0])
     experts = [init_mlp(MLPConfig(1, (6,), 3, "tanh", True), k) for k in range(2)]
     branch = init_mlp(MLPConfig(4, (6,), 3, "tanh", False), 7)
     model = EnsembleModel([PoUTrunk(ps, experts, 3)], branch, None)

@@ -10,7 +10,7 @@ from odnet.checkpoint import load_checkpoint, save_checkpoint
 from odnet.data import RDParams, gen_reaction_diffusion_2d
 from odnet.errors import CoverageError, ShapeError
 from odnet.networks import MLPConfig, init_mlp
-from odnet.partition import Patch, PatchSet, pou_weight_matrix
+from odnet.partition import PatchSet, pou_weight_matrix
 from odnet.pod import compute_pod
 from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
 from odnet.training import make_optimizer, mse_loss
@@ -31,7 +31,7 @@ def make_vanilla(p=3, seed=0, d=2, activation="tanh"):
 
 def make_pou(p=3, seed=1, activation="tanh"):
     # two overlapping patches on [-1, 1]^2 plus generous radii
-    ps = PatchSet([Patch([-0.5, 0.0], 1.4), Patch([0.5, 0.0], 1.4)], delta=0.1)
+    ps = PatchSet([[-0.5, 0.0], [0.5, 0.0]], [1.4, 1.4], delta=0.1)
     cfg = MLPConfig(2, (8, 8), p, activation, activate_last=True)
     experts = [init_mlp(cfg, seed + k) for k in range(len(ps))]
     return PoUTrunk(ps, experts, p)
@@ -550,6 +550,20 @@ def test_cached_trunk_is_read_only():
     assert trunk.shape == (10, 8) and not trunk.flags.writeable
     with pytest.raises(ValueError):
         trunk[0, 0] = 1.0
+
+
+def test_a_served_patch_set_cannot_be_edited_in_place():
+    # the entry holds PoU weights of the patches it was bound with; an
+    # edit in place would leave them stale, so the arrays refuse it
+    _, ds, model = _bundled("rd2d-vanilla-pou.ini")
+    first = model.predict(ds.U, ds.Y).data
+    patchset = model.members[1].patchset
+    with pytest.raises(ValueError):
+        patchset.centers[0, 0] += 0.05
+    with pytest.raises(ValueError):
+        patchset.radii[0] *= 2.0
+    assert model.predict(ds.U, ds.Y).data.tobytes() == first.tobytes()
+    assert _unserved(model, ds.U, ds.Y).tobytes() == first.tobytes()
 
 
 def test_taped_gradients_match_finite_differences_through_the_cache():
