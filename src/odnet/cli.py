@@ -1,7 +1,8 @@
 """Command-line orchestration: gen, train, eval, export-basis, inspect.
 
 Exit codes: 0 success, 2 configuration error, 3 data/file error,
-4 numeric failure (NaN loss or solver blowup). Every run writes a
+4 numeric failure (NaN loss or solver blowup), 5 out of memory (an
+allocation numpy could not make). Every run writes a
 manifest (config text, seed, versions; for train and eval also the
 dataset file, its stored CRC32, sample count, generator and seed; for
 train also each POD member's numerical rank) alongside its outputs.
@@ -24,7 +25,8 @@ from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, pa
 from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
 from .evaluation import evaluate_model, write_location_csv
-from .runconfig import build_model, generate_dataset, parse_config, split_indices
+from .runconfig import (GENERATOR_KEYS, build_model, data_generator, generate_dataset,
+                        parse_config, split_indices)
 from .training import OPTIMIZERS, train
 from .trunks import export_basis
 
@@ -68,7 +70,11 @@ def _override(spec, **values):
 
 def cmd_gen(args) -> int:
     cfg = parse_config(_read_text(args.config))
-    cfg = dataclasses.replace(cfg, data=_override(cfg.data, n=args.n, seed=args.seed))
+    flags = {"n": args.n, "seed": args.seed}
+    for key, value in flags.items():
+        if value is not None and key not in GENERATOR_KEYS[cfg.data.generator]:
+            raise ConfigError(f"--{key}: generator={cfg.data.generator} takes no {key}")
+    cfg = dataclasses.replace(cfg, data=_override(cfg.data, **flags))
     if os.path.exists(args.out) and not args.force:
         raise DataError(f"{args.out} exists; pass --force to overwrite")
     ds = generate_dataset(cfg.data)
@@ -103,13 +109,14 @@ def _train_one_seed(cfg, dataset_path: str, seed: int, out_prefix: str):
 
 def cmd_train(args) -> int:
     cfg = parse_config(_read_text(args.config))
+    data_generator(cfg.data)  # refuse a [data] section that gen refuses
     cfg = dataclasses.replace(cfg, train=_override(
         cfg.train, epochs=args.epochs, lr0=args.lr0, optimizer=args.optimizer,
     ))
     seeds = args.seeds or cfg.seeds
     # the whole seed list is checked before the first run writes a file
     cfg = dataclasses.replace(cfg, seeds=seeds, train=dataclasses.replace(cfg.train, seed=seeds[0]))
-    jobs = min(max(1, args.jobs), len(seeds))  # a fork pool starts all its workers at once
+    jobs = min(args.jobs, len(seeds))  # a fork pool starts all its workers at once
     results = []
     if jobs == 1:
         for seed in seeds:
@@ -204,6 +211,14 @@ def _int_list(raw: str) -> list:
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is below 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odnet",
@@ -228,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr0", type=float, default=None)
     t.add_argument("--optimizer", default=None, choices=OPTIMIZERS)
     t.add_argument("--seeds", type=_int_list, default="", help="comma-separated seed list")
-    t.add_argument("--jobs", type=int, default=1, help="parallel seed processes")
+    t.add_argument("--jobs", type=_positive_int, default=1, help="parallel seed processes")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -273,6 +288,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -124,6 +124,13 @@ def _sample_seed(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), int(i))))
 
 
+def antiderivative_grid(grid) -> int:
+    """``grid`` as gen_antiderivative's point count: at least 8."""
+    if int(grid) < 8:
+        raise ConfigError("antiderivative grid needs at least 8 points")
+    return int(grid)
+
+
 def gen_antiderivative(n_samples: int, n_modes: int = 5, grid: int = 64,
                        seed: int = 0) -> OperatorDataset:
     """Random sine-series inputs on [0, 1] paired with exact antiderivatives.
@@ -131,9 +138,7 @@ def gen_antiderivative(n_samples: int, n_modes: int = 5, grid: int = 64,
     u(x) = sum_k a_k sin(k pi x) with a_k ~ U(-1, 1);
     v(x) = sum_k a_k (1 - cos(k pi x)) / (k pi).
     """
-    grid = int(grid)
-    if grid < 8:
-        raise ConfigError("antiderivative grid needs at least 8 points")
+    grid = antiderivative_grid(grid)
     x = np.linspace(0.0, 1.0, grid)
     k = np.arange(1, int(n_modes) + 1)
     sin_basis = np.sin(np.pi * np.outer(k, x))          # (modes, grid)

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError and
-ShapeError -> 3, NumericError -> 4.
+ShapeError -> 3, NumericError -> 4 (and a MemoryError -> 5).
 """
 
 

@@ -2,18 +2,22 @@
 of datasets and models.
 
 Every key is one dataclass field, named as the key (``batch`` is
-``batch_size``): [data] takes DataSpec's fields, [model] RunConfig's
-members, branch_hidden and activation, [trunk.<name>] TrunkSpec's kind,
-p and what _TRUNK_KEYS lists for the kind, [train] TrainConfig's fields
-and RunConfig's seeds (the first is TrainConfig's seed), [eval]
-EvalSpec's. The field's default is the key's, its annotation picks the
-reader, and parse_config and RunConfig.text walk the same fields.
-Unknown sections or keys are errors; nothing is silently ignored.
+``batch_size``): [data] takes DataSpec's generator and what
+GENERATOR_KEYS lists for the generator, [model] RunConfig's members,
+branch_hidden and activation, [trunk.<name>] TrunkSpec's kind, p and
+what _TRUNK_KEYS lists for the kind, [train] TrainConfig's fields and
+RunConfig's seeds (the first is TrainConfig's seed), [eval] EvalSpec's.
+The field's default is the key's, its annotation picks the reader, and
+parse_config and RunConfig.text walk the same fields. Unknown sections
+or keys are errors, and so is a [data] key of another generator unless
+it restates its default (as the text of older builds does); nothing is
+silently ignored.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
@@ -34,6 +38,12 @@ _TRUNK_KEYS = {
     "vanilla": ("hidden",),
     "pod": ("modified",),
     "pou": ("hidden", "bbox", "grid", "select", "delta"),
+}
+# Keys each data generator takes besides generator.
+GENERATOR_KEYS = {
+    "antiderivative": ("n", "seed", "grid", "modes"),
+    "rd2d": ("n", "seed", "grid", "branch_grid", "dt", "nu", "t_final"),
+    "file": ("path",),
 }
 
 
@@ -91,10 +101,15 @@ class DataSpec:
     path: str = ""
 
     def __post_init__(self):
-        if self.generator not in ("antiderivative", "rd2d", "file"):
+        if self.generator not in GENERATOR_KEYS:
             raise ConfigError(f"unknown generator {self.generator!r}")
-        if (self.generator == "file") != bool(self.path):
-            raise ConfigError("generator=file requires a path, and path needs generator=file")
+        own = ("generator", *GENERATOR_KEYS[self.generator])
+        for f in fields(self):
+            if f.name not in own and getattr(self, f.name) != f.default:
+                raise ConfigError(f"[data] {f.name} is not a key of generator={self.generator} "
+                                  f"(it takes {', '.join(own[1:])})")
+        if self.generator == "file" and not self.path:
+            raise ConfigError("[data] path is required for generator=file")
         for key, low in (("n", 1), ("modes", 1), ("branch_grid", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"[data] {key} must be >= {low}")
@@ -134,10 +149,11 @@ class RunConfig:
     @property
     def text(self) -> str:
         """Canonical INI form of the fields: every section, only the keys
-        of each trunk's kind, floats via repr. Comments and key order of
-        a parsed source are not kept; parse_config(cfg.text) == cfg."""
+        of the generator and of each trunk's kind, floats via repr.
+        Comments and key order of a parsed source are not kept;
+        parse_config(cfg.text) == cfg."""
         sections = [
-            ("data", _pairs(self.data, _DATA_KEYS)),
+            ("data", _pairs(self.data, _DATA_SECTION[self.data.generator])),
             ("model", _pairs(self, _MODEL_KEYS)),
             *((f"trunk.{m.name}", _pairs(m, _TRUNK_SECTION[m.kind])) for m in self.members),
             ("train", _pairs(self.train, _TRAIN_KEYS) + _pairs(self, _SEEDS_KEY)),
@@ -198,6 +214,8 @@ def _keys(cls, *names) -> dict:
 
 
 _DATA_KEYS = _keys(DataSpec)
+_DATA_SECTION = {generator: _keys(DataSpec, "generator", *keys)
+                 for generator, keys in GENERATOR_KEYS.items()}
 _MODEL_KEYS = _keys(RunConfig, "members", "branch_hidden", "activation")
 _TRUNK_SECTION = {kind: _keys(TrunkSpec, "kind", "p", *keys)
                   for kind, keys in _TRUNK_KEYS.items()}
@@ -285,16 +303,27 @@ def _parse_trunk(name: str, section) -> TrunkSpec:
     return TrunkSpec(name=name, **_read(section, _TRUNK_SECTION[kind]))
 
 
-def generate_dataset(spec: DataSpec) -> datamod.OperatorDataset:
+def data_generator(spec: DataSpec):
+    """The call that makes ``spec``'s dataset, after the generator's own
+    checks of its arguments (RDParams, the antiderivative grid floor), so
+    a [data] section that generation refuses is refused without
+    generating. parse_config does not run them: a stored config loads
+    with whatever values it was trained with."""
     if spec.generator == "antiderivative":
-        return datamod.gen_antiderivative(spec.n, n_modes=spec.modes, seed=spec.seed,
-                                          **({"grid": spec.grid} if spec.grid else {}))
+        grid = {"grid": datamod.antiderivative_grid(spec.grid)} if spec.grid else {}
+        return functools.partial(datamod.gen_antiderivative, spec.n, n_modes=spec.modes,
+                                 seed=spec.seed, **grid)
     if spec.generator == "rd2d":
         params = datamod.RDParams(nu=spec.nu, t_final=spec.t_final, dt=spec.dt,
                                   branch_grid=spec.branch_grid,
                                   **({"n": spec.grid} if spec.grid else {}))
-        return datamod.gen_reaction_diffusion_2d(params, spec.n, seed=spec.seed)
-    return datamod.read_dataset(spec.path)
+        return functools.partial(datamod.gen_reaction_diffusion_2d, params, spec.n,
+                                 seed=spec.seed)
+    return functools.partial(datamod.read_dataset, spec.path)
+
+
+def generate_dataset(spec: DataSpec) -> datamod.OperatorDataset:
+    return data_generator(spec)()
 
 
 def split_indices(n: int, test_count: int, split_seed: int):

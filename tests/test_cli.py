@@ -8,7 +8,8 @@ import pytest
 
 from odnet.checkpoint import load_checkpoint, save_checkpoint
 from odnet.cli import main
-from odnet.data import RDParams, gen_reaction_diffusion_2d, read_dataset, write_dataset
+from odnet.data import (RDParams, gen_antiderivative, gen_reaction_diffusion_2d, read_dataset,
+                        write_dataset)
 from odnet.errors import DataError
 from odnet.evaluation import evaluate_model
 from odnet.pod import compute_pod
@@ -84,6 +85,10 @@ POU_CFG = RD_CFG.replace("members = v1", "members = pu1").replace(
     "[trunk.pu1]\nkind = pou\nbbox = 0 2 0 2\ngrid = 3 2\ndelta = 0.1",
 )
 
+# reads anti.odn, which test_malformed_config_value_is_config_error writes
+FILE_CFG = ANTI_CFG.replace("generator = antiderivative\nn = 20\nseed = 3\ngrid = 16\nmodes = 4",
+                            "generator = file\npath = anti.odn")
+
 # (command, base config, text to edit, replacement): each edit makes a
 # malformed value that must exit 2 with a one-line message, no traceback.
 MALFORMED = [
@@ -108,6 +113,18 @@ MALFORMED = [
     ("gen", ANTI_CFG, "modes = 4", "modes = 0"),
     ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = 1e-3\nbatch = -1"),
     ("gen", ANTI_CFG, "lr0 = 1e-3", "lr0 = 1e-3\ndecay_step = -2"),
+    # a key of another generator
+    ("gen", ANTI_CFG, "modes = 4", "modes = 4\nnu = 5.0"),
+    ("train", ANTI_CFG, "modes = 4", "modes = 4\nbranch_grid = 3"),
+    ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\nmodes = 11"),
+    ("train", RD_CFG, "branch_grid = 4", "branch_grid = 4\npath = rd.odn"),
+    ("gen", FILE_CFG, "path = anti.odn", "path = anti.odn\nn = 7"),
+    ("train", FILE_CFG, "path = anti.odn", "path = anti.odn\nseed = 5"),
+    # what gen refuses, train refuses too, though it generates nothing
+    ("train", ANTI_CFG, "grid = 16", "grid = 2"),
+    ("train", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = -0.2"),
+    ("train", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = 1e9"),
+    ("train", RD_CFG, "branch_grid = 4", "branch_grid = 4\ndt = 1e-11"),
 ]
 
 
@@ -159,8 +176,11 @@ def test_gen_n_override_and_force(anti_config, tmp_path):
 @pytest.mark.parametrize(
     "command,base,old,new", MALFORMED, ids=[case[3].strip().replace("\n", "; ") for case in MALFORMED],
 )
-def test_malformed_config_value_is_config_error(command, base, old, new, tmp_path, capsys):
+def test_malformed_config_value_is_config_error(command, base, old, new, tmp_path, capsys,
+                                                monkeypatch):
     assert old in base
+    monkeypatch.chdir(tmp_path)
+    write_dataset(gen_antiderivative(20, 4, 16, 3), "anti.odn")  # FILE_CFG's path
     good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
     good.write_text(base)
     bad.write_text(base.replace(old, new, 1))
@@ -174,6 +194,20 @@ def test_malformed_config_value_is_config_error(command, base, old, new, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert new.splitlines()[-1].split("=")[0].strip() in err  # names the edited key
+
+
+@pytest.mark.parametrize("flags", [["--n", "7"], ["--seed", "0"], ["--n", "240"]])
+def test_gen_n_and_seed_flags_need_a_generator_that_takes_them(flags, tmp_path, capsys):
+    # a file config takes neither, not even at its default
+    write_dataset(gen_antiderivative(20, 4, 16, 3), tmp_path / "anti.odn")
+    cfg = tmp_path / "file.ini"
+    cfg.write_text(FILE_CFG.replace("path = anti.odn", f"path = {tmp_path / 'anti.odn'}"))
+    out = str(tmp_path / "copy.odn")
+    assert main(["gen", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["gen", str(cfg), "--out", out, "--force", *flags]) == 2
+    key = flags[0][2:]
+    assert capsys.readouterr().err == f"config error: --{key}: generator=file takes no {key}\n"
 
 
 @pytest.mark.parametrize("lr0", ["nan", "inf"])
@@ -338,6 +372,24 @@ def test_train_jobs_start_at_most_one_worker_per_seed(anti_config, tmp_path, mon
     assert (tmp_path / "run-seed3.odm").exists() and (tmp_path / "run-seed4.odm").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_train_jobs_below_1_is_a_usage_error(jobs, anti_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", anti_config, "d.odn", "--out", "run", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: {jobs!r} is below 1" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_5_with_one_line(anti_config, tmp_path, capsys, monkeypatch):
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr("odnet.cli.generate_dataset", refuse)
+    assert main(["gen", anti_config, "--out", str(tmp_path / "anti.odn")]) == 5
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 7.45 GiB for an array\n"
+    assert not (tmp_path / "anti.odn").exists()
+
+
 @pytest.mark.parametrize("seeds", ["0,0", "0,-1"])
 def test_a_bad_seed_list_exits_2_before_any_run(seeds, anti_config, tmp_path, capsys):
     data = tmp_path / "anti.odn"
@@ -371,6 +423,87 @@ def test_eval_summary_matches_api(pod_config, tmp_path, capsys):
     rows = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + cfg.eval.test_count
     assert (tmp_path / "report.csv.eval-manifest.txt").exists()
+
+
+# POD_CFG's canonical text as builds before the per-generator key table
+# wrote it: [data] also held rd2d's branch_grid, nu and t_final
+OLDER_POD_TEXT = """[data]
+generator = antiderivative
+n = 20
+seed = 3
+grid = 16
+modes = 4
+branch_grid = 8
+nu = 0.1
+t_final = 0.5
+
+[model]
+members = v1 pod1
+branch_hidden = 8
+activation = tanh
+
+[trunk.v1]
+kind = vanilla
+p = 4
+hidden = 8
+
+[trunk.pod1]
+kind = pod
+p = 3
+modified = true
+
+[train]
+epochs = 3
+optimizer = adam
+lr0 = 0.001
+gamma = 0.5
+decay_step = 0
+weight_decay = 0.0001
+batch = 0
+seeds = 0
+
+[eval]
+test_count = 5
+split_seed = 2
+"""
+
+
+def _eval_csv(checkpoint, data, out):
+    assert main(["eval", str(checkpoint), data, "--split", "all", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_a_checkpoint_of_an_older_build_loads_and_evaluates_to_the_same_bits(pod_config, tmp_path):
+    data = str(tmp_path / "anti.odn")
+    assert main(["gen", pod_config, "--out", data]) == 0
+    assert main(["train", pod_config, data, "--out", str(tmp_path / "run")]) == 0
+    ds = read_dataset(data)
+    model, text, _ = load_checkpoint(str(tmp_path / "run-seed0.odm"), ds)
+    foreign = "branch_grid = 8\nnu = 0.1\nt_final = 0.5\n"
+    assert text == OLDER_POD_TEXT.replace(foreign, "")
+    older = tmp_path / "older.odm"
+    save_checkpoint(model, OLDER_POD_TEXT, older, seed=0)
+    again, older_text, _ = load_checkpoint(str(older), ds)
+    assert older_text == OLDER_POD_TEXT and parse_config(older_text) == parse_config(text)
+    assert again.predict(ds.U, ds.Y).data.tobytes() == model.predict(ds.U, ds.Y).data.tobytes()
+    assert (_eval_csv(older, data, tmp_path / "older.csv")
+            == _eval_csv(tmp_path / "run-seed0.odm", data, tmp_path / "run.csv"))
+
+
+def test_a_checkpoint_loads_values_its_generator_would_refuse(tmp_path):
+    # train refuses nu < 0 now, but a stored config is loaded as it is
+    cfg = tmp_path / "rd.ini"
+    cfg.write_text(RD_CFG)
+    data = str(tmp_path / "rd.odn")
+    assert main(["gen", str(cfg), "--out", data]) == 0
+    assert main(["train", str(cfg), data, "--out", str(tmp_path / "run")]) == 0
+    model, text, _ = load_checkpoint(str(tmp_path / "run-seed0.odm"))
+    assert "\nnu = 0.1\n" in text
+    refused = tmp_path / "refused.odm"
+    save_checkpoint(model, text.replace("\nnu = 0.1\n", "\nnu = -0.1\n"), refused, seed=0)
+    assert load_checkpoint(str(refused))[1] != text
+    assert _eval_csv(refused, data, tmp_path / "r.csv") == _eval_csv(
+        tmp_path / "run-seed0.odm", data, tmp_path / "run.csv")
 
 
 def test_eval_mismatched_nx_is_shape_error(anti_config, tmp_path, capsys):

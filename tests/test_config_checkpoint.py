@@ -375,4 +375,10 @@ def test_writers_golden_bytes(tmp_path):
     write_dataset(ds, odn)
     save_checkpoint(build_model(cfg, ds, np.arange(4), seed=0), cfg.text, odm, seed=0)
     assert (odn.stat().st_size, f"{stored_crc(odn):08x}") == (1009, "073b3b94")
+    assert (odm.stat().st_size, f"{stored_crc(odm):08x}") == (1631, "39d3815f")
+    # with the text builds before the per-generator key table stored, which
+    # also held rd2d's keys at their defaults, the file is the one they wrote
+    older = cfg.text.replace("modes = 2\n", "modes = 2\nbranch_grid = 8\nnu = 0.1\nt_final = 0.5\n")
+    save_checkpoint(build_model(cfg, ds, np.arange(4), seed=0), older, odm, seed=0)
     assert (odm.stat().st_size, f"{stored_crc(odm):08x}") == (1670, "87f31078")
+    assert load_checkpoint(str(odm), ds)[1] == older

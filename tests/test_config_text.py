@@ -1,5 +1,6 @@
 """The canonical config text parses back to the same config, a parsed and a
-built config share their defaults, and the bundled configs' text is pinned."""
+built config share their defaults, the bundled configs' text is pinned,
+and each data generator reads every [data] key it declares and no other."""
 
 import dataclasses
 import math
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odnet.data import gen_antiderivative, write_dataset
 from odnet.errors import ConfigError
 from odnet.networks import ACTIVATIONS
-from odnet.runconfig import DataSpec, EvalSpec, RunConfig, TrunkSpec, parse_config
+from odnet.runconfig import (GENERATOR_KEYS, DataSpec, EvalSpec, RunConfig, TrunkSpec,
+                             generate_dataset, parse_config)
 from odnet.training import OPTIMIZERS, TrainConfig
 
 names = st.from_regex(r"[A-Za-z][A-Za-z0-9_.-]{0,7}", fullmatch=True)
@@ -42,18 +45,19 @@ def trunk_specs(draw, name):
                      select=select, delta=draw(nonneg))
 
 
+DATA_VALUES = {
+    "n": st.integers(1, 10**6), "seed": seeds, "grid": st.integers(),
+    "modes": st.integers(min_value=1), "branch_grid": st.integers(1, 10**4),
+    "dt": st.none() | reals, "nu": reals, "t_final": reals,
+    "path": st.from_regex(r"[A-Za-z0-9_./-]{0,30}\.odn", fullmatch=True),
+}
+
+
 @st.composite
 def data_specs(draw):
-    generator = draw(st.sampled_from(["antiderivative", "rd2d", "file"]))
-    path = ""
-    if generator == "file":
-        path = draw(st.from_regex(r"[A-Za-z0-9_./-]{0,30}\.odn", fullmatch=True))
-    return DataSpec(
-        generator=generator, n=draw(st.integers(1, 10**6)), seed=draw(seeds),
-        grid=draw(st.integers()), modes=draw(st.integers(min_value=1)),
-        branch_grid=draw(st.integers(1, 10**4)), dt=draw(st.none() | reals),
-        nu=draw(reals), t_final=draw(reals), path=path,
-    )
+    # only the generator's own keys, as trunk_specs draws per kind
+    generator = draw(st.sampled_from(sorted(GENERATOR_KEYS)))
+    return DataSpec(generator, **{key: draw(DATA_VALUES[key]) for key in GENERATOR_KEYS[generator]})
 
 
 @st.composite
@@ -90,10 +94,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # crc32 of the canonical text of each bundled config; ODM1 checkpoints and
 # run manifests hold this text, so a change here changes their bytes
 CANONICAL_TEXT_CRC32 = {
-    "antiderivative-vanilla": "25baabcc", "rd2d-modified-pod": "cfbbc5bf",
-    "rd2d-p-plus-1-vanilla": "7d9fb52d", "rd2d-pod-pou": "a2b398ba", "rd2d-pod": "ea51a3e0",
-    "rd2d-vanilla-pod-pou": "c14075ad", "rd2d-vanilla-pod": "83d309ee",
-    "rd2d-vanilla-pou": "40a57042", "rd2d-vanilla": "aa37adbc",
+    "antiderivative-vanilla": "cafb2694", "rd2d-modified-pod": "647b7246",
+    "rd2d-p-plus-1-vanilla": "bde74f21", "rd2d-pod-pou": "97f53f8a", "rd2d-pod": "2e9b29ef",
+    "rd2d-vanilla-pod-pou": "2fad3bb9", "rd2d-vanilla-pod": "827751c5",
+    "rd2d-vanilla-pou": "1a375b6c", "rd2d-vanilla": "20c21f87",
 }
 
 
@@ -105,6 +109,23 @@ def test_bundled_config_canonical_text_is_pinned(name):
 
 def test_every_bundled_config_is_pinned():
     assert sorted(p.stem for p in CONFIG_DIR.glob("*.ini")) == sorted(CANONICAL_TEXT_CRC32)
+
+
+def _older_text(cfg):
+    """``cfg.text`` as builds before the per-generator key table wrote it:
+    [data] also held every other generator's key at its default."""
+    own = ("generator", *GENERATOR_KEYS[cfg.data.generator])
+    foreign = "".join(f"{f.name} = {f.default}\n" for f in dataclasses.fields(DataSpec)
+                      if f.name not in own and f.default not in (None, ""))
+    return cfg.text.replace("\n[model]", foreign + "\n[model]", 1)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_TEXT_CRC32))
+def test_bundled_config_text_of_older_builds_still_parses(name):
+    cfg = parse_config((CONFIG_DIR / f"{name}.ini").read_text())
+    older = _older_text(cfg)
+    assert older != cfg.text
+    assert parse_config(older) == cfg
 
 
 MINIMAL = """
@@ -144,3 +165,70 @@ def test_a_key_without_a_default_is_required(section, line):
     key = line.split(" = ")[0]
     with pytest.raises(ConfigError, match=rf"^\[{re.escape(section)}\] {key} is required$"):
         parse_config(text)
+
+
+# a value of each [data] key other than its default
+OTHER_VALUE = {"n": "7", "seed": "3", "grid": "9", "modes": "11", "branch_grid": "3",
+               "dt": "0.001", "nu": "5.0", "t_final": "9.0", "path": "d.odn"}
+
+
+@pytest.mark.parametrize("generator,key", [
+    (generator, key) for generator, keys in GENERATOR_KEYS.items()
+    for key in OTHER_VALUE if key not in keys
+])
+def test_a_key_of_another_generator_is_rejected_unless_it_restates_its_default(generator, key):
+    data = f"generator = {generator}\n" + ("path = x.odn\n" if generator == "file" else "")
+    text = MINIMAL.replace("generator = rd2d\n", data) + "[trunk.x]\nkind = pod\np = 8\n"
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError, match=rf"^\[data\] {key} is not a key of generator={generator} "):
+        parse_config(text.replace(data, data + f"{key} = {OTHER_VALUE[key]}\n"))
+    default = DataSpec.__dataclass_fields__[key].default
+    if default not in (None, ""):
+        assert parse_config(text.replace(data, data + f"{key} = {default}\n")) == cfg
+
+
+# Tiny generator arguments: several rd2d steps (the diffusivity acts only
+# once the reaction's switch has bent the constant initial field), and no
+# dt that equals the step dt = none picks, so no two values mean the same.
+TINY_VALUES = {
+    "antiderivative": {"n": st.integers(1, 3), "seed": st.integers(0, 9),
+                       "grid": st.integers(8, 11), "modes": st.integers(1, 4)},
+    "rd2d": {"n": st.integers(1, 3), "seed": st.integers(0, 9), "grid": st.integers(4, 6),
+             "branch_grid": st.integers(1, 3), "dt": st.sampled_from([None, 0.005, 0.01]),
+             "nu": st.sampled_from([1.0, 2.0]), "t_final": st.sampled_from([0.3, 0.4])},
+}
+
+
+def _arrays(spec):
+    ds = generate_dataset(spec)
+    return [a.tobytes() for a in (ds.X, ds.Y, ds.U, ds.V)]
+
+
+def test_every_data_key_is_drawn():
+    fields = {f.name for f in dataclasses.fields(DataSpec)} - {"generator"}
+    assert set(DATA_VALUES) == fields == {key for keys in GENERATOR_KEYS.values() for key in keys}
+    assert {g: set(values) for g, values in TINY_VALUES.items()} == {
+        g: set(keys) for g, keys in GENERATOR_KEYS.items() if g != "file"}
+
+
+@pytest.mark.parametrize("generator,key", [
+    (generator, key) for generator, values in TINY_VALUES.items() for key in values
+])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_declared_data_key_changes_the_generated_data(generator, key, data):
+    values = TINY_VALUES[generator]
+    spec = DataSpec(generator, **{k: data.draw(v, label=k) for k, v in values.items()})
+    other = data.draw(values[key].filter(lambda v: v != getattr(spec, key)), label=f"new {key}")
+    # the arrays alone: the metadata text would tell any two values apart
+    assert _arrays(spec) != _arrays(dataclasses.replace(spec, **{key: other}))
+
+
+def test_the_file_generator_reads_its_path(tmp_path):
+    assert GENERATOR_KEYS["file"] == ("path",)
+    paths = [str(tmp_path / f"{seed}.odn") for seed in (0, 1)]
+    for seed, path in enumerate(paths):
+        write_dataset(gen_antiderivative(2, grid=8, seed=seed), path)
+    first, second = (_arrays(DataSpec("file", path=path)) for path in paths)
+    assert first != second
+    assert first == _arrays(DataSpec("antiderivative", n=2, grid=8, seed=0))

@@ -49,11 +49,15 @@ def test_readme_documents_every_config_key_with_its_default():
     start = readme.index("## Configuration")
     table = readme[start:readme.index("\n## ", start)]
     documented, section = {}, None
-    for head, key, default in re.findall(r"^\| (`\[.+?\]`)? ?\| `(\w+)` \| (.+?) \|", table, re.M):
-        section = head.strip("`") or section
+    # [data] rows come in groups headed by their generator's name
+    row = r"^\| (`\[.+?\]`(?: `\w+`)?)? ?\| `(\w+)` \| (.+?) \|"
+    for head, key, default in re.findall(row, table, re.M):
+        section = head.replace("`", "") or section
         documented[section, key] = default
+    generators = {f"[data] {generator}": {k: e for k, e in keys.items() if k != "generator"}
+                  for generator, keys in rc._DATA_SECTION.items()}
     sections = {
-        "[data]": rc._DATA_KEYS, "[model]": rc._MODEL_KEYS,
+        "[data]": rc._keys(rc.DataSpec, "generator"), **generators, "[model]": rc._MODEL_KEYS,
         "[trunk.<name>]": {k: e for keys in rc._TRUNK_SECTION.values() for k, e in keys.items()},
         "[train]": {**rc._TRAIN_KEYS, **rc._SEEDS_KEY}, "[eval]": rc._EVAL_KEYS,
     }
