@@ -116,6 +116,9 @@ def cmd_train(args) -> int:
     seeds = args.seeds or cfg.seeds
     # the whole seed list is checked before the first run writes a file
     cfg = dataclasses.replace(cfg, seeds=seeds, train=dataclasses.replace(cfg.train, seed=seeds[0]))
+    out_dir = os.path.dirname(args.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise DataError(f"--out {args.out}: no directory {out_dir}")
     jobs = min(args.jobs, len(seeds))  # a fork pool starts all its workers at once
     results = []
     if jobs == 1:

@@ -13,14 +13,7 @@ from .errors import DataError, ShapeError
 
 def relative_l2(pred, truth) -> float:
     """||pred - truth||_2 / ||truth||_2 for one function."""
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    truth = np.asarray(truth, dtype=np.float64).reshape(-1)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"relative_l2: shapes {pred.shape} and {truth.shape} differ")
-    denom = np.linalg.norm(truth)
-    if denom == 0.0:
-        raise DataError("relative_l2: degenerate truth vector with zero norm")
-    return float(np.linalg.norm(pred - truth) / denom)
+    return float(per_function_relative_l2(np.ravel(pred)[None], np.ravel(truth)[None])[0])
 
 
 def mean_relative_l2(preds, truths) -> float:
@@ -29,12 +22,12 @@ def mean_relative_l2(preds, truths) -> float:
 
 
 def per_function_relative_l2(preds, truths) -> np.ndarray:
-    """``relative_l2`` of each row, bit for bit: a row's norm is
-    ``sqrt(np.vecdot(r, r))``, one BLAS dot per row, which is what
-    ``np.linalg.norm`` computes for a 1-d float array. The dots run over
-    C-contiguous rows because ``np.linalg.norm`` ravels its argument into
-    one contiguous vector, and a dot over strided rows may sum in another
-    order."""
+    """||pred - truth||_2 / ||truth||_2 of each row (``relative_l2`` is one
+    row). A row's norm is ``sqrt(np.vecdot(r, r))``, one BLAS dot per row,
+    the bits ``np.linalg.norm`` computes for a 1-d float array. The dots
+    run over C-contiguous rows because ``np.linalg.norm`` ravels its
+    argument into one contiguous vector, and a dot over strided rows may
+    sum in another order."""
     return _relative_rows(*_residual(preds, truths))
 
 

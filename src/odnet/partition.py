@@ -89,9 +89,10 @@ def pou_weight_matrix(ps: PatchSet, points: np.ndarray, strict: bool = True) -> 
 
 
 def coverage_check(ps: PatchSet, points) -> list:
-    """Indices of points that lie strictly inside no patch (empty = covered)."""
-    psi = kernel_matrix(ps, np.asarray(points, dtype=np.float64))
-    return [int(i) for i in np.flatnonzero(psi.max(axis=1) <= 0.0)]
+    """Indices of points that lie strictly inside no patch (empty = covered):
+    the rows ``pou_weight_matrix`` leaves without a nonzero weight."""
+    weights = pou_weight_matrix(ps, points, strict=False)
+    return [int(i) for i in np.flatnonzero(~weights.any(axis=1))]
 
 
 def grid_patch_centers(lows, highs, counts, selected=None) -> np.ndarray:

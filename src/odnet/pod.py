@@ -7,8 +7,7 @@ obtained by Sirovich's method of snapshots: the N x N Gram matrix
 K = (1/N) Vs Vs^T shares T's nonzero eigenvalues, and an eigenpair
 (lambda_j, w_j) of K back-projects to the unit mode Vs^T w_j / sqrt(N lambda_j).
 The raw (unstandardized) pointwise mean of the training outputs is carried
-alongside as the mean function phi0: the standard POD trunk adds it to
-predictions, the modified POD trunk keeps it as an extra basis column.
+alongside as the mean function phi0.
 
 A mode is kept only if its eigenvalue exceeds ``_RANK_RTOL`` times the
 largest. Past that numerical rank the eigenvectors are round-off, and
@@ -60,8 +59,6 @@ class PODBasis:
 def compute_pod(v_snapshots: np.ndarray, p: int, y_locations=None) -> PODBasis:
     """POD basis with ``p`` modes from an (N, N_y) snapshot matrix.
 
-    ``p`` modes cover both trunk flavors: the standard trunk uses the
-    first p columns, the modified trunk uses phi0 plus the first p-1.
     Columns past the numerical rank are exactly zero, as are their
     eigenvalues. Raises DataError for a constant snapshot (zero spatial
     stddev).
@@ -118,17 +115,3 @@ def standardize_snapshots(v_snapshots: np.ndarray) -> np.ndarray:
         raise DataError(f"degenerate snapshot {i}: zero spatial standard deviation")
     return (v - mu[:, None]) / sigma[:, None]
 
-
-def trunk_matrix(basis: PODBasis, p: int, modified: bool):
-    """Trunk columns over all of Y, scaled by 1/p, plus the additive
-    offset vector (None for the modified flavor, which folds phi0 into
-    the columns instead)."""
-    p = int(p)
-    if modified:
-        if p - 1 > basis.n_modes:
-            raise ValueError(f"basis has {basis.n_modes} modes, need {p - 1}")
-        cols = np.concatenate([basis.mean_function[:, None], basis.modes[:, : p - 1]], axis=1)
-        return cols / p, None
-    if p > basis.n_modes:
-        raise ValueError(f"basis has {basis.n_modes} modes, need {p}")
-    return basis.modes[:, :p] / p, basis.mean_function

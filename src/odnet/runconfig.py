@@ -120,6 +120,11 @@ class EvalSpec:
     test_count: int = 40
     split_seed: int = 0
 
+    def __post_init__(self):
+        for key in ("test_count", "split_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"[eval] {key} must be >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -331,9 +336,7 @@ def split_indices(n: int, test_count: int, split_seed: int):
     if test_count < 0 or test_count >= n:
         raise ConfigError(f"test_count={test_count} must be in [0, {n})")
     order = np.random.default_rng(split_seed).permutation(n)
-    if test_count == 0:
-        return np.sort(order), np.array([], dtype=order.dtype)
-    return np.sort(order[:-test_count]), np.sort(order[-test_count:])
+    return np.sort(order[:n - test_count]), np.sort(order[n - test_count:])
 
 
 def build_patchset(spec: TrunkSpec) -> PatchSet:

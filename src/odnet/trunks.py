@@ -48,7 +48,7 @@ from . import autodiff as ad
 from .errors import ShapeError
 from .networks import MLP
 from .partition import PatchSet, pou_weight_matrix
-from .pod import PODBasis, trunk_matrix
+from .pod import PODBasis
 
 
 class VanillaTrunk:
@@ -101,6 +101,12 @@ def _row_keys(y: np.ndarray) -> np.ndarray:
 class PODTrunk:
     """Data-driven constant trunk; no trainable parameters.
 
+    Two flavours, after POD-DeepONet. The standard trunk's columns are the
+    p modes, and the mean function phi0 is added to every prediction as
+    an offset row. The modified trunk's columns are phi0 and the first p-1
+    modes, with no offset. One unscaled table holds the columns: the
+    trunk serves it divided by p, and ``basis_columns`` returns it as is.
+
     Columns are served at training output locations only: rows of Y are
     matched bit-exactly against the basis locations.
     """
@@ -114,7 +120,12 @@ class PODTrunk:
         self.basis = basis
         self.modified = bool(modified)
         self.p = int(p)
-        self.columns, self.offset = trunk_matrix(basis, p, modified)
+        if self.modified:
+            self._table = np.column_stack([basis.mean_function, basis.modes[:, :self.p - 1]])
+            self.offset = None
+        else:
+            self._table, self.offset = basis.modes, basis.mean_function
+        self.columns = self._table / self.p
         # Exact-byte row lookup, sorted once; a stable sort keeps equal
         # rows in index order.
         keys = _row_keys(basis.y_locations)
@@ -153,10 +164,7 @@ class PODTrunk:
 
     def basis_columns(self, y, columns) -> np.ndarray:
         """Unscaled basis function values (phi0 or an eigenmode)."""
-        table = self.basis.modes
-        if self.modified:
-            table = np.column_stack([self.basis.mean_function, table])
-        return table[np.ix_(self.bind(y).rows, columns)]
+        return self._table[np.ix_(self.bind(y).rows, columns)]
 
 
 class PoUPatches(NamedTuple):

@@ -125,6 +125,11 @@ MALFORMED = [
     ("train", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = -0.2"),
     ("train", RD_CFG, "branch_grid = 4", "branch_grid = 4\nnu = 1e9"),
     ("train", RD_CFG, "branch_grid = 4", "branch_grid = 4\ndt = 1e-11"),
+    # an [eval] value the split cannot take
+    ("gen", ANTI_CFG, "split_seed = 2", "split_seed = -1"),
+    ("train", ANTI_CFG, "split_seed = 2", "split_seed = -3"),
+    ("gen", ANTI_CFG, "test_count = 5", "test_count = -1"),
+    ("train", ANTI_CFG, "test_count = 5", "test_count = -2"),
 ]
 
 
@@ -400,6 +405,25 @@ def test_a_bad_seed_list_exits_2_before_any_run(seeds, anti_config, tmp_path, ca
                  "--seeds", seeds]) == 2
     assert capsys.readouterr().err.startswith("config error: [train] seeds ")
     assert set(tmp_path.iterdir()) == written
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_train_into_a_missing_directory_exits_3_before_any_run(jobs, anti_config, tmp_path,
+                                                               capsys, monkeypatch):
+    data = tmp_path / "anti.odn"
+    assert main(["gen", anti_config, "--out", str(data)]) == 0
+    written = set(tmp_path.rglob("*"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("trained into a directory that does not exist")
+
+    monkeypatch.setattr("odnet.cli.train", no_run)
+    capsys.readouterr()
+    out = tmp_path / "missing_dir" / "run"
+    assert main(["train", anti_config, str(data), "--out", str(out), "--seeds", "0,1",
+                 "--jobs", jobs]) == 3
+    assert capsys.readouterr().err == f"data error: --out {out}: no directory {out.parent}\n"
+    assert set(tmp_path.rglob("*")) == written
 
 
 def test_eval_summary_matches_api(pod_config, tmp_path, capsys):

@@ -76,7 +76,7 @@ def run_configs(draw):
         activation=draw(st.sampled_from(ACTIVATIONS)),
         train=train,
         seeds=run_seeds,
-        eval=EvalSpec(draw(st.integers()), draw(st.integers())),
+        eval=EvalSpec(draw(st.integers(min_value=0)), draw(st.integers(min_value=0))),
     )
 
 

@@ -318,15 +318,19 @@ def test_rd_solver_bytes_match_pad_stencil_rates_and_ics_property(
     assert simulate_rd(params, ics).tobytes() == _reference_rd(params, ics).tobytes()
 
 
-@pytest.mark.parametrize("params,n_samples,seed,crc_v,crc_u", [
-    (RDParams(n=8, branch_grid=4), 12, 0, 0x0B54C2AF, 0x1AB159FC),
-    (RDParams(), 240, 1, 0x29DAACCC, 0x2E723E95),
+@pytest.mark.parametrize("params,n_samples,seed,crc_v,crc_u,crc_x,crc_y", [
+    (RDParams(n=8, branch_grid=4), 12, 0, 0x0B54C2AF, 0x1AB159FC, 0x7E648417, 0x4A702740),
+    (RDParams(), 240, 1, 0x29DAACCC, 0x2E723E95, 0x4A702740, 0x579D0AD3),
 ], ids=["n8-12-seed0", "default-240-seed1"])
-def test_rd_dataset_payload_pinned(params, n_samples, seed, crc_v, crc_u):
-    # values written by the per-sample solver; the batched one must match
+def test_rd_dataset_payload_pinned(params, n_samples, seed, crc_v, crc_u, crc_x, crc_y):
+    # values written by the per-sample solver; the batched one must match.
+    # X on an 8 x 8 branch grid is Y on an 8 x 8 solver grid: both are the
+    # cell centres of the same square.
     ds = gen_reaction_diffusion_2d(params, n_samples, seed=seed)
     assert zlib.crc32(ds.V.tobytes()) == crc_v
     assert zlib.crc32(ds.U.tobytes()) == crc_u
+    assert zlib.crc32(ds.X.tobytes()) == crc_x
+    assert zlib.crc32(ds.Y.tobytes()) == crc_y
 
 
 def test_scalar_targets_is_the_vector_field_magnitude():

@@ -65,8 +65,9 @@ def test_per_function_relative_l2_matches_norm_bytes(seed, n, n_y, scale, layout
         preds, truths = np.asfortranarray(preds), np.asfortranarray(truths)
     elif layout == "strided":
         preds, truths = np.repeat(preds, 2, axis=1)[:, ::2], np.repeat(truths, 2, axis=1)[:, ::2]
-    reference = np.array([relative_l2(p, t) for p, t in zip(preds, truths)])
+    reference = np.array([np.linalg.norm(p - t) / np.linalg.norm(t) for p, t in zip(preds, truths)])
     assert per_function_relative_l2(preds, truths).tobytes() == reference.tobytes()
+    assert np.array([relative_l2(p, t) for p, t in zip(preds, truths)]).tobytes() == reference.tobytes()
 
 
 def test_mean_relative_l2_names_degenerate_row():

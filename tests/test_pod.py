@@ -16,8 +16,8 @@ from odnet.pod import (
     compute_pod,
     numerical_rank,
     standardize_snapshots,
-    trunk_matrix,
 )
+from odnet.trunks import PODTrunk
 
 
 def _covariance_pod(v, p):
@@ -110,10 +110,14 @@ def test_hand_eigenproblem_three_points():
     np.testing.assert_allclose(basis.mean_function, [0.5, 0.5, 2.0], atol=1e-15)
 
 
-def test_trunk_eval_modified_row():
+def _three_point_basis():
+    # eigenpairs (2.25, [1,1,-2]/sqrt6), (0.75, [1,-1,0]/sqrt2); phi0 = [0.5, 0.5, 2]
     v = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
-    basis = compute_pod(v, p=2)
-    row = trunk_matrix(basis, 2, modified=True)[0][1]
+    return compute_pod(v, p=2, y_locations=np.arange(3.0)[:, None])
+
+
+def test_trunk_eval_modified_row():
+    row = PODTrunk(_three_point_basis(), 2, modified=True).columns[1]
     assert row.shape == (2,)
     np.testing.assert_allclose(
         row, np.array([0.5, 1.0 / np.sqrt(6)]) / 2.0, atol=1e-12
@@ -121,27 +125,42 @@ def test_trunk_eval_modified_row():
 
 
 def test_trunk_eval_standard_row_and_offset():
-    v = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
-    basis = compute_pod(v, p=2)
-    row = trunk_matrix(basis, 2, modified=False)[0][0]
+    basis = _three_point_basis()
+    member = PODTrunk(basis, 2, modified=False)
     np.testing.assert_allclose(
-        row, np.array([1.0 / np.sqrt(6), 1.0 / np.sqrt(2)]) / 2.0, atol=1e-12
+        member.columns[0], np.array([1.0 / np.sqrt(6), 1.0 / np.sqrt(2)]) / 2.0, atol=1e-12
     )
-    cols, offset = trunk_matrix(basis, 2, modified=False)
-    np.testing.assert_allclose(offset, basis.mean_function, atol=1e-15)
-    cols_m, offset_m = trunk_matrix(basis, 2, modified=True)
-    assert offset_m is None
-    assert cols_m.shape == (3, 2)
+    np.testing.assert_allclose(member.offset, basis.mean_function, atol=1e-15)
+    modified = PODTrunk(basis, 2, modified=True)
+    assert modified.offset is None
+    assert modified.columns.shape == (3, 2)
 
 
-def test_trunk_matrix_p_beyond_basis():
-    v = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
-    basis = compute_pod(v, p=2)
-    assert trunk_matrix(basis, 3, modified=True)[0].shape == (3, 3)
-    with pytest.raises(ValueError, match="need 3"):
-        trunk_matrix(basis, 3, modified=False)
-    with pytest.raises(ValueError, match="need 3"):
-        trunk_matrix(basis, 4, modified=True)
+def test_pod_trunk_p_beyond_basis():
+    basis = _three_point_basis()
+    for modified in (True, False):
+        with pytest.raises(ValueError, match="p=3 needs a basis of exactly p modes, not 2"):
+            PODTrunk(basis, 3, modified)
+    # a basis of 3 modes, the last past the rank: the modified trunk takes
+    # phi0 and the first two
+    wide = PODBasis(basis.mean_function, np.column_stack([basis.modes, np.zeros(3)]),
+                    [*basis.eigenvalues, 0.0], basis.y_locations)
+    member = PODTrunk(wide, 3, modified=True)
+    assert member.columns.shape == (3, 3)
+    np.testing.assert_array_equal(
+        member.columns, np.column_stack([basis.mean_function, basis.modes]) / 3)
+
+
+@pytest.mark.parametrize("modified", [True, False], ids=["modified", "standard"])
+def test_pod_trunk_columns_are_its_exported_basis_over_p(modified):
+    # the served columns and the raw export come from one table
+    basis = _three_point_basis()
+    member = PODTrunk(basis, 2, modified)
+    y = basis.y_locations[::-1]
+    raw = member.basis_columns(y, [0, 1])
+    table = np.column_stack([basis.mean_function, basis.modes[:, 0]]) if modified else basis.modes
+    assert raw.tobytes() == table[::-1].tobytes()
+    assert (raw / 2).tobytes() == member.forward(member.bind(y)).data.tobytes()
 
 
 def test_basis_shape_validation():
