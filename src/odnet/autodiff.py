@@ -17,9 +17,12 @@ Each backward rule is short enough to audit by hand.
 Ops take an optional ``tape``. With ``tape=None`` they evaluate forward
 only; with a tape they append a backward rule in execution order, so the
 record list is automatically in topological order and ``Tape.backward``
-is a single reverse sweep that touches each node exactly once. An
-activated layer puts one record and one array on the tape: its backward
-rule takes the activation's derivative from the output it already holds.
+is a single reverse sweep that touches each node exactly once. Graph
+membership is the tensor's flag, set on ``requires_grad`` leaves and by
+``Tape.record``: an op records only if an input has it, and its rule
+returns None for each input that lacks it. An activated layer puts one
+record and one array on the tape: its backward rule takes the
+activation's derivative from the output it already holds.
 
 Everything is 64-bit and row-major. There is no broadcasting beyond the
 explicit bias, scalar and row adds of ``linear`` and ``matmul_nt``.
@@ -122,15 +125,15 @@ class Tape:
     """Execution-ordered record of differentiable operations.
 
     Ops append records during the forward pass, so every node's inputs
-    precede it and the backward pass is one reverse sweep. Adjoints of
-    intermediates live in a scratch dict keyed by node identity; only
-    tensors with ``requires_grad`` receive (and accumulate) ``.grad``.
+    precede it and the backward pass is one reverse sweep. A node is a
+    tensor with the graph flag; the tape keeps no registry of them.
+    Adjoints of intermediates live in a scratch dict keyed by identity;
+    only ``requires_grad`` tensors receive (and accumulate) ``.grad``.
     Calling ``backward`` twice without resetting grads accumulates.
     """
 
     def __init__(self):
         self._records = []  # (out, inputs, backward_fn)
-        self._produced = set()  # id() of every op output on this tape
 
     def __len__(self):
         return len(self._records)
@@ -138,7 +141,6 @@ class Tape:
     def record(self, out: Tensor, inputs, backward_fn):
         out._tracked = True
         self._records.append((out, inputs, backward_fn))
-        self._produced.add(id(out))
 
     def first_nonfinite(self):
         """(op name, shape) of the first record whose output holds a NaN
@@ -151,12 +153,12 @@ class Tape:
 
     def backward(self, loss: Tensor):
         """Populate ``.grad`` of every ``requires_grad`` tensor reachable
-        from ``loss``."""
+        from ``loss``, the output of one of this tape's records."""
         if loss.data.ndim != 0:
             raise ShapeError(
                 f"backward needs a scalar loss, got shape {loss.data.shape}"
             )
-        if id(loss) not in self._produced:
+        if not any(out is loss for out, _, _ in self._records):
             raise ValueError("loss tensor is not attached to this tape (detached graph)")
         adjoint = {id(loss): np.ones((), dtype=np.float64)}
         for out, inputs, backward_fn in reversed(self._records):
@@ -164,16 +166,13 @@ class Tape:
             if g is None:
                 continue
             for t, gi in zip(inputs, backward_fn(g)):
-                if gi is None or not t._tracked:
+                if gi is None:
                     continue
                 if t.requires_grad:
                     _accumulate(t, gi)
-                if id(t) in self._produced:
+                else:
                     key = id(t)
-                    if key in adjoint:
-                        adjoint[key] = adjoint[key] + gi
-                    else:
-                        adjoint[key] = gi
+                    adjoint[key] = adjoint[key] + gi if key in adjoint else gi
 
 
 def _check_2d(t: Tensor, op: str):

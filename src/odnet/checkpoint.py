@@ -60,7 +60,7 @@ def collect_state(model: EnsembleModel):
             _mlp_arrays(key, member.mlp, arrays)
         elif isinstance(member, PODTrunk):
             attrs[f"{key}.kind"] = "pod"
-            attrs[f"{key}.modified"] = "1" if member.modified else "0"
+            attrs[f"{key}.modified"] = "1" if member.offset is None else "0"
             attrs[f"{key}.y_crc"] = str(_y_crc(member.basis.y_locations))
             arrays[f"{key}.pod.phi0"] = member.basis.mean_function
             arrays[f"{key}.pod.modes"] = member.basis.modes

@@ -62,6 +62,15 @@ def _write_manifest(path, config_text: str, seed, data: dict | None = None) -> N
         fh.write(config_text)
 
 
+def _check_out_dirs(args, *dests):
+    """Refuse, naming its flag, an output path whose directory is missing."""
+    for dest in dests:
+        path = getattr(args, dest)
+        out_dir = os.path.dirname(path)
+        if out_dir and not os.path.isdir(out_dir):
+            raise DataError(f"--{dest.replace('_', '-')} {path}: no directory {out_dir}")
+
+
 def _override(spec, **values):
     """``dataclasses.replace`` with the flags that were given; the spec's
     own validation runs again on the result."""
@@ -77,6 +86,7 @@ def cmd_gen(args) -> int:
     cfg = dataclasses.replace(cfg, data=_override(cfg.data, **flags))
     if os.path.exists(args.out) and not args.force:
         raise DataError(f"{args.out} exists; pass --force to overwrite")
+    _check_out_dirs(args, "out")
     ds = generate_dataset(cfg.data)
     write_dataset(ds, args.out)
     _write_manifest(args.out + ".manifest.txt", cfg.text, cfg.data.seed)
@@ -87,7 +97,7 @@ def cmd_gen(args) -> int:
 
 def _train_one_seed(cfg, dataset_path: str, seed: int, out_prefix: str):
     """One independent training job; safe to run in a worker process."""
-    cfg = dataclasses.replace(cfg, seeds=[seed], train=dataclasses.replace(cfg.train, seed=seed))
+    cfg = dataclasses.replace(cfg, seeds=[seed])
     ds = read_dataset(dataset_path)
     train_idx, _ = split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)
     model = build_model(cfg, ds, train_idx, seed)
@@ -115,10 +125,8 @@ def cmd_train(args) -> int:
     ))
     seeds = args.seeds or cfg.seeds
     # the whole seed list is checked before the first run writes a file
-    cfg = dataclasses.replace(cfg, seeds=seeds, train=dataclasses.replace(cfg.train, seed=seeds[0]))
-    out_dir = os.path.dirname(args.out)
-    if out_dir and not os.path.isdir(out_dir):
-        raise DataError(f"--out {args.out}: no directory {out_dir}")
+    cfg = dataclasses.replace(cfg, seeds=seeds)
+    _check_out_dirs(args, "out")
     jobs = min(args.jobs, len(seeds))  # a fork pool starts all its workers at once
     results = []
     if jobs == 1:
@@ -148,6 +156,7 @@ def _select_split(cfg, ds, which: str):
 
 
 def cmd_eval(args) -> int:
+    _check_out_dirs(args, "out", "mse_out")
     ds = read_dataset(args.data)
     model, config_text, attrs = load_checkpoint(args.checkpoint, ds)
     cfg = parse_config(config_text)
@@ -171,6 +180,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_basis(args) -> int:
+    _check_out_dirs(args, "out")
     ds = read_dataset(args.data)
     model, config_text, attrs = load_checkpoint(args.checkpoint, ds)
     columns = args.columns
@@ -194,8 +204,8 @@ def cmd_inspect(args) -> int:
         ds = read_dataset(args.path)
         print(f"ODN1 dataset: N={ds.n_samples} N_x={ds.n_x} N_y={ds.n_y} "
               f"d_u={ds.d_u} d_v={ds.d_v} c={ds.n_components}")
-        for k in sorted(ds.metadata):
-            print(f"  {k}={ds.metadata[k]}")
+        for k, v in sorted({"name": ds.name, **ds.metadata}.items()):
+            print(f"  {k}={v}")
         return 0
     if magic == ODM1_MAGIC:
         config_text, attrs, arrays = read_checkpoint_raw(args.path)

@@ -495,7 +495,7 @@ def write_dataset(ds: OperatorDataset, path):
     w.u32(ds.d_u, ds.d_v, ds.n_x, ds.n_y, ds.n_samples, ds.n_components)
     for arr in (ds.X, ds.Y, ds.U, ds.V):
         w.f64(arr)
-    w.kv({"name": ds.name, **ds.metadata})
+    w.kv({**ds.metadata, "name": ds.name})
     w.save(path)
 
 
@@ -515,4 +515,4 @@ def read_dataset(path) -> OperatorDataset:
     v = r.f64((n, n_y) if c == 1 else (n, n_y, c))
     metadata = r.kv()
     r.end()
-    return OperatorDataset(metadata.get("name", "dataset"), x, y, u, v, metadata)
+    return OperatorDataset(metadata.pop("name", "dataset"), x, y, u, v, metadata)

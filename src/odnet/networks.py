@@ -64,10 +64,6 @@ class MLP:
         self.weights = list(weights)
         self.biases = list(biases)
 
-    @property
-    def parameter_count(self):
-        return self.config.parameter_count
-
     def parameters(self):
         out = []
         for w, b in zip(self.weights, self.biases):

@@ -20,7 +20,7 @@ import configparser
 import functools
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -148,8 +148,7 @@ class RunConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("[train] seeds must list at least one seed, all >= 0, none twice")
-        if self.train.seed != self.seeds[0]:
-            raise ConfigError(f"[train] seeds[0] {self.seeds[0]} != train.seed {self.train.seed}")
+        object.__setattr__(self, "train", replace(self.train, seed=self.seeds[0]))
 
     @property
     def text(self) -> str:
@@ -224,7 +223,7 @@ _DATA_SECTION = {generator: _keys(DataSpec, "generator", *keys)
 _MODEL_KEYS = _keys(RunConfig, "members", "branch_hidden", "activation")
 _TRUNK_SECTION = {kind: _keys(TrunkSpec, "kind", "p", *keys)
                   for kind, keys in _TRUNK_KEYS.items()}
-# TrainConfig's seed is no key: parse_config sets it to seeds[0]
+# TrainConfig's seed is no key: RunConfig sets it to seeds[0]
 _TRAIN_KEYS = {key: entry for key, entry in _keys(TrainConfig).items() if key != "seed"}
 _SEEDS_KEY = _keys(RunConfig, "seeds")
 _EVAL_KEYS = _keys(EvalSpec)
@@ -292,10 +291,8 @@ def parse_config(text: str) -> RunConfig:
     train = _read(parser["train"], {**_TRAIN_KEYS, **_SEEDS_KEY})
     seeds = train.pop("seeds")
     ev = _read(parser["eval"], _EVAL_KEYS) if "eval" in parser else {}
-    # RunConfig rejects an empty list
-    train = TrainConfig(**train, seed=seeds[0] if seeds else TrainConfig.seed)
-    return RunConfig(data=data, members=members, train=train, seeds=seeds, eval=EvalSpec(**ev),
-                     **model)
+    return RunConfig(data=data, members=members, train=TrainConfig(**train), seeds=seeds,
+                     eval=EvalSpec(**ev), **model)
 
 
 def _parse_trunk(name: str, section) -> TrunkSpec:

@@ -5,7 +5,7 @@ Training is full-batch by default (desk-scale datasets are small); set
 hold no trainable tensors, so they are frozen by construction. The
 optimizer holds the update rule's facts: which tensors AdamW decays (the
 2-d ones) and clearing the gradients it steps, so ``train`` asks a model
-only for ``predict``, ``parameters`` and ``parameter_hash``.
+only for ``predict`` and ``parameters``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class TrainReport:
     losses: list = field(default_factory=list)
     lrs: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
-    param_hash: str = ""
 
     @property
     def epochs_run(self):
@@ -187,7 +186,6 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
         report.losses.append(epoch_loss)
         report.lrs.append(lr)
         report.epoch_seconds.append(elapsed)
-    report.param_hash = model.parameter_hash()
     return report
 
 

@@ -118,9 +118,8 @@ class PODTrunk:
             raise ValueError(f"POD trunk of width p={p} needs a basis of exactly p modes, "
                              f"not {basis.n_modes}")
         self.basis = basis
-        self.modified = bool(modified)
         self.p = int(p)
-        if self.modified:
+        if modified:
             self._table = np.column_stack([basis.mean_function, basis.modes[:, :self.p - 1]])
             self.offset = None
         else:

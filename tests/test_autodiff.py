@@ -326,6 +326,50 @@ def test_backward_detached_graph():
         tape.backward(loss)
 
 
+def test_backward_refuses_a_loss_recorded_on_another_tape():
+    w = ad.Tensor(np.ones((1, 1)), requires_grad=True)
+    elsewhere = _unit_loss(w, ad.Tape())
+    tape = ad.Tape()
+    _unit_loss(w, tape)
+    with pytest.raises(ValueError, match="detached"):
+        tape.backward(elsewhere)
+    assert w.grad is None
+
+
+class _RuleTape(ad.Tape):
+    """A tape that keeps the last backward rule recorded on it."""
+
+    def record(self, out, inputs, backward_fn):
+        super().record(out, inputs, backward_fn)
+        self.rule = backward_fn
+
+
+# each op: the shapes of its differentiable inputs, and a call on them
+_OPS = {
+    "linear": ([(2, 3), (3, 4), (4,)],
+               lambda t, tape: ad.linear(*t, tape, activation="tanh")),
+    "matmul_nt": ([(2, 3), (4, 3), ()],
+                  lambda t, tape: ad.matmul_nt(t[0], t[1], tape, bias=t[2], offset=np.ones(4))),
+    "mse": ([(2, 3), (2, 3)], lambda t, tape: ad.mse(*t, tape)),
+    "scatter_add_rows": ([(2, 3), (3, 3)], lambda t, tape: ad.scatter_add_rows(
+        [(t[0], [0, 2], [0.5, 1.0]), (t[1], [1, 2, 3], [1.0, 2.0, 3.0])], 4, tape)),
+    "concat_columns": ([(2, 1), (2, 3), (2, 2)], lambda t, tape: ad.concat_columns(t, tape)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_an_op_returns_no_gradient_for_an_untracked_input(op):
+    shapes, call = _OPS[op]
+    rng = np.random.default_rng(4)
+    for tracked in range(len(shapes)):
+        inputs = [ad.Tensor(rng.normal(size=shape), requires_grad=i == tracked)
+                  for i, shape in enumerate(shapes)]
+        tape = _RuleTape()
+        out = call(inputs, tape)
+        grads = tape.rule(np.ones(out.data.shape))
+        assert [g is None for g in grads] == [i != tracked for i in range(len(shapes))]
+
+
 def test_backward_accumulates_without_reset():
     w = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     tape = ad.Tape()

@@ -51,6 +51,8 @@ POD_CFG = ANTI_CFG.replace(
     "[trunk.pod1]\nkind = pod\np = 3\nmodified = true\n\n[train]",
 )
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 RD_CFG = """
 [data]
 generator = rd2d
@@ -426,6 +428,43 @@ def test_train_into_a_missing_directory_exits_3_before_any_run(jobs, anti_config
     assert set(tmp_path.rglob("*")) == written
 
 
+@pytest.mark.parametrize("stand_in,argv", [
+    ("generate_dataset", ["gen", "{config}", "--out", "{missing}"]),
+    ("evaluate_model", ["eval", "{ckpt}", "{data}", "--out", "{missing}", "--mse-out", "{ok}"]),
+    ("evaluate_model", ["eval", "{ckpt}", "{data}", "--out", "{ok}", "--mse-out", "{missing}"]),
+    ("export_basis", ["export-basis", "{ckpt}", "{data}", "--columns", "0", "--out", "{missing}"]),
+], ids=["gen", "eval-out", "eval-mse-out", "export-basis"])
+def test_an_output_into_a_missing_directory_exits_3_before_any_work(
+        stand_in, argv, anti_config, anti_run, tmp_path, capsys, monkeypatch):
+    written = set(tmp_path.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked for an output that cannot be written")
+
+    monkeypatch.setattr(f"odnet.cli.{stand_in}", no_work)
+    missing = tmp_path / "missing_dir" / "out.csv"
+    names = {"config": anti_config, "ckpt": str(anti_run[1]), "data": anti_run[0],
+             "missing": str(missing), "ok": str(tmp_path / "ok.csv")}
+    argv = [arg.format(**names) for arg in argv]
+    flag = argv[argv.index(str(missing)) - 1]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {flag} {missing}: no directory {missing.parent}\n"
+    assert set(tmp_path.rglob("*")) == written
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+def test_every_command_runs_on_each_bundled_config(config, tmp_path, capsys):
+    path, data, run = str(CONFIG_DIR / config), str(tmp_path / "d.odn"), str(tmp_path / "run")
+    ckpt = run + "-seed0.odm"
+    for argv in (["gen", path, "--out", data, "--n", "60"],
+                 ["train", path, data, "--out", run, "--epochs", "1"],
+                 ["eval", ckpt, data, "--out", str(tmp_path / "r.csv")],
+                 ["export-basis", ckpt, data, "--columns", "0", "--out", str(tmp_path / "b.csv")],
+                 ["inspect", data], ["inspect", ckpt]):
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
 def test_eval_summary_matches_api(pod_config, tmp_path, capsys):
     data = str(tmp_path / "anti.odn")
     main(["gen", pod_config, "--out", data])
@@ -706,7 +745,7 @@ def test_odm1_that_does_not_fit_its_config_exits_3(edit, anti_run, tmp_path, cap
 
 def test_odm1_pod_basis_wider_than_p_exits_3(tmp_path, capsys):
     # an rd2d-pod checkpoint whose member carries a 9th mode for p = 8
-    text = (Path(__file__).resolve().parent.parent / "configs" / "rd2d-pod.ini").read_text()
+    text = (CONFIG_DIR / "rd2d-pod.ini").read_text()
     ds = gen_reaction_diffusion_2d(RDParams(n=8, branch_grid=4), 16, seed=0)
     data, ckpt = tmp_path / "rd.odn", tmp_path / "wide.odm"
     write_dataset(ds, data)

@@ -364,8 +364,18 @@ def test_roundtrip_bit_exact(tmp_path):
     back = read_dataset(path)
     for a, b in ((ds.X, back.X), (ds.Y, back.Y), (ds.U, back.U), (ds.V, back.V)):
         assert a.tobytes() == b.tobytes()
-    assert back.metadata == {"name": "tiny", **ds.metadata}
+    assert back.metadata == ds.metadata
     assert back.name == "tiny"
+
+
+def test_a_renamed_dataset_is_written_under_its_new_name(tmp_path):
+    path = tmp_path / "tiny.odn"
+    write_dataset(_tiny_dataset(), path)
+    ds = read_dataset(path)
+    ds.name = "renamed"
+    write_dataset(ds, path)
+    back = read_dataset(path)
+    assert back.name == "renamed" and "name" not in back.metadata
 
 
 def test_vector_field_roundtrip(tmp_path):

@@ -10,7 +10,6 @@ def test_parameter_count_arithmetic():
     cfg = MLPConfig(2, (4, 4), 3)
     # (2+1)*4 + (4+1)*4 + (4+1)*3
     assert cfg.parameter_count == 47
-    assert init_mlp(cfg, 0).parameter_count == 47
 
 
 def test_same_seed_bit_identical():
