@@ -130,6 +130,11 @@ class Tape:
     Adjoints of intermediates live in a scratch dict keyed by identity;
     only ``requires_grad`` tensors receive (and accumulate) ``.grad``.
     Calling ``backward`` twice without resetting grads accumulates.
+
+    A rule owns the adjoint it receives and may overwrite it: every rule
+    returns fresh arrays or disjoint column views of its own adjoint, and
+    ``backward`` pops each adjoint before its rule runs, so no other
+    holder sees the write.
     """
 
     def __init__(self):
@@ -185,15 +190,16 @@ LEAKY_SLOPE = 0.01  # leaky_relu's slope on the negative side
 
 
 def _activation_grad(activation: str | None, out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g times the activation's derivative, read off the activated output:
-    out > 0 exactly where the input was > 0 (for leaky_relu too, its
-    slope being positive), and tanh' = 1 - tanh^2."""
+    """g times the activation's derivative, in place in the adjoint g (see
+    ``Tape``), read off the activated output: out > 0 exactly where the
+    input was > 0 (for leaky_relu too, its slope being positive), and
+    tanh' = 1 - tanh^2."""
     if activation == "relu":
-        return g * (out > 0.0)
-    if activation == "leaky_relu":
-        return g * np.where(out > 0.0, 1.0, LEAKY_SLOPE)
-    if activation == "tanh":
-        return g * (1.0 - out * out)
+        np.multiply(g, out > 0.0, out=g)
+    elif activation == "leaky_relu":
+        np.multiply(g, np.where(out > 0.0, 1.0, LEAKY_SLOPE), out=g)
+    elif activation == "tanh":
+        np.multiply(g, 1.0 - out * out, out=g)
     return g
 
 

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data/file error,
 4 numeric failure (NaN loss or solver blowup), 5 out of memory (an
-allocation numpy could not make). Every run writes a
-manifest (config text, seed, versions; for train and eval also the
-dataset file, its stored CRC32, sample count, generator and seed; for
-train also each POD member's numerical rank) alongside its outputs.
+allocation numpy could not make). Every run writes a manifest (config
+text, seed, versions, the BLAS thread variables of the environment; for
+train and eval also the dataset file, its stored CRC32, sample count,
+generator and seed; for train also each POD member's numerical rank)
+alongside its outputs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, pa
 from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
 from .evaluation import evaluate_model, write_location_csv
-from .runconfig import (GENERATOR_KEYS, build_model, data_generator, generate_dataset,
+from .runconfig import (GENERATOR_KEYS, _ints, build_model, data_generator, generate_dataset,
                         parse_config, split_indices)
 from .training import OPTIMIZERS, train
 from .trunks import export_basis
@@ -55,6 +56,8 @@ def _write_manifest(path, config_text: str, seed, data: dict | None = None) -> N
         fh.write(f"odnet_version={__version__}\n")
         fh.write(f"numpy_version={np.__version__}\n")
         fh.write(f"python_version={platform.python_version()}\n")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            fh.write(f"env.{var}={os.environ.get(var, 'unset')}\n")
         fh.write(f"seed={seed}\n")
         for key, value in (data or {}).items():
             fh.write(f"{key}={value}\n")
@@ -221,7 +224,7 @@ def cmd_inspect(args) -> int:
 
 def _int_list(raw: str) -> list:
     """argparse type: comma- or space-separated integers."""
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+    return list(_ints(raw))
 
 
 def _positive_int(raw: str) -> int:

@@ -15,8 +15,8 @@ back-projecting them would divide noise by a near-zero sqrt(lambda), so
 those basis columns are exact zeros with eigenvalue 0.0. The basis keeps
 the requested width either way.
 
-Mode signs are normalized (first nonzero entry positive) so results do
-not depend on the eigensolver's sign choices.
+Mode signs are normalized (each column's first entry above 1e-12 in size
+made positive) so results do not depend on the eigensolver's sign choices.
 """
 
 from __future__ import annotations
@@ -93,12 +93,9 @@ def numerical_rank(eigenvalues) -> int:
 
 
 def _fix_signs(modes: np.ndarray) -> np.ndarray:
-    modes = modes.copy()
-    for j in range(modes.shape[1]):
-        col = modes[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0.0:
-            modes[:, j] = -col
+    big = np.abs(modes) > 1e-12
+    first = modes[big.argmax(axis=0), np.arange(modes.shape[1])]
+    modes *= np.where(big.any(axis=0) & (first < 0.0), -1.0, 1.0)
     return modes
 
 
@@ -106,12 +103,12 @@ def standardize_snapshots(v_snapshots: np.ndarray) -> np.ndarray:
     """Remove each snapshot's spatial mean and divide by its population
     spatial standard deviation. Raises DataError for a constant snapshot."""
     v = np.asarray(v_snapshots, dtype=np.float64)
-    mu = v.mean(axis=1)
-    sigma = v.std(axis=1)  # population convention (divide by N_y)
+    d = v - v.mean(axis=1, keepdims=True)
+    sigma = np.sqrt((d * d).mean(axis=1))  # population convention (divide by N_y)
     floor = _DEGENERATE_TOL * np.maximum(1.0, np.abs(v).max(axis=1))
     degenerate = sigma <= floor
     if np.any(degenerate):
         i = int(np.flatnonzero(degenerate)[0])
         raise DataError(f"degenerate snapshot {i}: zero spatial standard deviation")
-    return (v - mu[:, None]) / sigma[:, None]
+    return d / sigma[:, None]
 

@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
 
 OPTIMIZERS = ("adam", "adamw")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -83,19 +84,15 @@ def inverse_time_lr(lr0: float, gamma: float, step_interval: int, step: int) -> 
 
 
 class Adam:
-    """Adam with bias correction, one elementwise pass over flat vectors of
-    values (a model's own), gradients and moments. A nonzero ``weight_decay``
-    makes it AdamW: each step also subtracts ``lr * weight_decay * p`` from
-    each 2-d p (the weights; biases are 1-d and a model bias 0-d). A
-    parameter whose ``grad`` is None keeps its value and moments; a tensor
-    listed twice is a ValueError."""
+    """Adam with bias correction and fixed BETA1, BETA2 and EPS: one
+    elementwise pass over flat vectors of values (a model's own), gradients
+    and moments. A nonzero ``weight_decay`` makes it AdamW: each step also
+    subtracts ``lr * weight_decay * p`` from each 2-d p (the weights; biases
+    are 1-d and a model bias 0-d). A parameter whose ``grad`` is None keeps
+    its value and moments; a tensor listed twice is a ValueError."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params, weight_decay: float = 0.0):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._values, self._grads = ad._flat_parameters(self.params)
@@ -121,14 +118,14 @@ class Adam:
         got = [p.grad is not None for p in self.params]
         live = True if all(got) else np.repeat(got, self._sizes)
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         g, m, v, p = self._grads, self._m, self._v, self._values
-        np.multiply(m, self.beta1, out=m, where=live)
-        np.add(m, (1.0 - self.beta1) * g, out=m, where=live)
-        np.multiply(v, self.beta2, out=v, where=live)
-        np.add(v, (1.0 - self.beta2) * (g * g), out=v, where=live)
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        np.multiply(m, BETA1, out=m, where=live)
+        np.add(m, (1.0 - BETA1) * g, out=m, where=live)
+        np.multiply(v, BETA2, out=v, where=live)
+        np.add(v, (1.0 - BETA2) * (g * g), out=v, where=live)
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         if self.weight_decay != 0.0:
             np.add(step, lr * self.weight_decay * p, out=step, where=self._decay)
         np.subtract(p, step, out=p, where=live)

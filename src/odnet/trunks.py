@@ -14,13 +14,13 @@ member is in the ensemble.
 A model keeps one entry for the last locations it served, keyed by the
 shape and bytes of Y, and taped and untaped predictions both go through
 it. On a new Y each member's ``bind`` works out once what depends only on
-the locations: a read-only copy of them for a vanilla member, the rows and
-constant columns for a POD member, one ``(expert, idx, y[idx], w[idx])``
-entry per active patch for the PoU member; the entry also holds the summed
-offset row. The parts hold experts, not their outputs, so they stay valid
-while weights change: taped training passes Y every step and re-runs the
-trunk on the same parts. PoU patches are summed sequentially in declared
-order, so results are bit-reproducible.
+the locations: Y itself for a vanilla member, a read-only view of the
+key's bytes, so the entry holds Y once; the rows and constant columns for
+a POD member; one ``(expert, idx, y[idx], w[idx])`` entry per active patch
+for the PoU member; and the summed offset row. The parts hold experts, not
+their outputs, so they stay valid while weights change: taped training
+passes Y every step and re-runs the trunk on the same parts. PoU patches
+are summed sequentially in declared order, so results are bit-reproducible.
 
 At fixed locations trunk(Y) does not depend on the input function, so an
 untaped call also keeps the trunk matrix (read-only) in the entry, with a
@@ -70,10 +70,8 @@ class VanillaTrunk:
         return self.mlp.config.input_dim
 
     def bind(self, y) -> np.ndarray:
-        """A read-only copy, so a later edit of the caller's Y cannot reach it."""
-        y = np.array(y, dtype=np.float64)
-        y.flags.writeable = False
-        return y
+        """The locations, uncopied: a model passes the read-only Y of its entry."""
+        return np.asarray(y, dtype=np.float64)
 
     def forward(self, y, tape=None) -> ad.Tensor:
         return self.mlp.forward(y, tape)
@@ -299,6 +297,7 @@ class EnsembleModel:
         y = np.asarray(y, dtype=np.float64)
         key = (y.shape, y.tobytes())
         if self._served is None or self._served.key != key:
+            y = np.frombuffer(key[1]).reshape(y.shape)  # read-only, over the key's bytes
             parts = tuple(m.bind(y) for m in self.members)
             offsets = [m.offset[part.rows] for m, part in zip(self.members, parts)
                        if m.offset is not None]

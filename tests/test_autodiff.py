@@ -162,6 +162,57 @@ def test_fused_activation_matches_finite_differences(activation):
         assert relative_gradient_error(p.grad, g) < 1e-5
 
 
+def _out_of_place_grad(activation, out, g):
+    """Reference: g times the activation's derivative in a new array."""
+    if activation == "relu":
+        return g * (out > 0.0)
+    if activation == "leaky_relu":
+        return g * np.where(out > 0.0, 1.0, ad.LEAKY_SLOPE)
+    return g * (1.0 - out * out)
+
+
+@pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+def test_a_second_backward_doubles_the_gradients_bit_for_bit(activation):
+    # each rule writes the derivative into the adjoint it receives; a
+    # write that reached a tensor or another rule's array would change
+    # the second pass
+    rng = np.random.default_rng(27)
+    (w1, b1, w2, b2), x = _random_two_layer(rng)
+    tape = ad.Tape()
+    h = ad.linear(ad.Tensor(x), w1, b1, tape, activation=activation)
+    out = ad.linear(h, w2, b2, tape, activation=activation)
+    loss = ad.mse(out, ad.Tensor(rng.uniform(-1, 1, size=(5, 2))), tape)
+    kept = h.data.copy(), out.data.copy()
+    tape.backward(loss)
+    first = [p.grad.copy() for p in (w1, b1, w2, b2)]
+    tape.backward(loss)
+    for p, g in zip((w1, b1, w2, b2), first):
+        assert p.grad.tobytes() == (2.0 * g).tobytes()
+    assert (h.data.tobytes(), out.data.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
+
+
+@pytest.mark.parametrize("activation", ad.ACTIVATIONS)
+def test_stacked_members_get_the_out_of_place_gradients(activation):
+    # concat_columns hands each activated member a column view of one
+    # adjoint; scaling the views in place must give the bytes of scaling
+    # copies of them
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(37, 3))
+    ws = [ad.Tensor(rng.normal(size=(3, k)), requires_grad=True) for k in (5, 4)]
+    bs = [ad.Tensor(rng.normal(size=k), requires_grad=True) for k in (5, 4)]
+    a = rng.normal(size=(6, 9))
+    target = rng.normal(size=(6, 37))
+    tape = ad.Tape()
+    hs = [ad.linear(ad.Tensor(x), w, b, tape, activation=activation) for w, b in zip(ws, bs)]
+    pred = ad.matmul_nt(ad.Tensor(a), ad.concat_columns(hs, tape), tape)
+    tape.backward(ad.mse(pred, ad.Tensor(target), tape))
+    g_cat = ((pred.data - target) * (1.0 * (2.0 / pred.data.size))).T @ a
+    for h, w, b, (lo, hi) in zip(hs, ws, bs, ((0, 5), (5, 9))):
+        g = _out_of_place_grad(activation, h.data, g_cat[:, lo:hi])
+        assert w.grad.tobytes() == (x.T @ g).tobytes()
+        assert b.grad.tobytes() == g.sum(axis=0).tobytes()
+
+
 def test_matmul_nt_matches_numpy_bit_for_bit():
     # the bias and the offset row are added in place after the product, in
     # that order, with the bits of two separate numpy adds

@@ -327,6 +327,21 @@ def test_train_manifest_names_its_dataset(tmp_path):
     assert _manifest_config(tmp_path / "run-seed0.manifest.txt").data.n == 8
 
 
+def test_manifests_record_the_blas_thread_variables(anti_config, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    data = tmp_path / "anti.odn"
+    assert main(["gen", anti_config, "--out", str(data)]) == 0
+    assert main(["train", anti_config, str(data), "--out", str(tmp_path / "run"),
+                 "--epochs", "1"]) == 0
+    for manifest in (tmp_path / "anti.odn.manifest.txt", tmp_path / "run-seed0.manifest.txt"):
+        fields = _manifest_fields(manifest)
+        assert fields["env.OPENBLAS_NUM_THREADS"] == "1"
+        assert fields["env.OMP_NUM_THREADS"] == "3"
+        assert fields["env.MKL_NUM_THREADS"] == "unset"
+
+
 def test_train_parallel_jobs(anti_config, tmp_path):
     data = str(tmp_path / "anti.odn")
     assert main(["gen", anti_config, "--out", data]) == 0

@@ -13,11 +13,15 @@ from odnet.data import RDParams, gen_reaction_diffusion_2d
 from odnet.errors import DataError
 from odnet.pod import (
     PODBasis,
+    _fix_signs,
     compute_pod,
     numerical_rank,
     standardize_snapshots,
 )
+from odnet.runconfig import generate_dataset, parse_config, split_indices
 from odnet.trunks import PODTrunk
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _covariance_pod(v, p):
@@ -76,6 +80,48 @@ def test_sign_convention_first_nonzero_positive():
         col = basis.modes[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         assert col[nz[0]] > 0.0
+
+
+def _fix_signs_by_column(modes):
+    """Reference: the per-column form of the sign normalization."""
+    modes = modes.copy()
+    for j in range(modes.shape[1]):
+        col = modes[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0.0:
+            modes[:, j] = -col
+    return modes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fix_signs_matches_the_per_column_form(seed):
+    rng = np.random.default_rng(seed)
+    modes = rng.normal(size=(30, 9))
+    modes[:, 0] = np.r_[-1e-13, -0.3, rng.normal(size=28)]  # sub-threshold first entry
+    modes[:, 1] = rng.uniform(-1e-12, 1e-12, size=30)  # nothing above it: left alone
+    modes[0, 1] = -5e-13
+    modes[:, 2] = 0.0
+    modes[:4, 3] = 0.0  # first entry above the threshold further down
+    expected = _fix_signs_by_column(modes)
+    assert expected[1, 0] > 0.0 and expected[0, 1] < 0.0  # the special columns bite
+    assert _fix_signs(modes).tobytes() == expected.tobytes()
+
+
+def _standardized_by_std(v):
+    """Reference: the textbook form, through ``np.std``."""
+    return (v - v.mean(1)[:, None]) / v.std(1)[:, None]
+
+
+def test_standardize_snapshots_matches_the_std_form_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for shape, scale in (((7, 50), 1.0), ((12, 1024), 1e3), ((3, 5), 1e-6)):
+        v = rng.normal(size=shape) * scale + rng.normal(size=(shape[0], 1))
+        assert standardize_snapshots(v).tobytes() == _standardized_by_std(v).tobytes()
+    cfg = parse_config((CONFIG_DIR / "rd2d-vanilla.ini").read_text())
+    ds = generate_dataset(cfg.data)
+    train_idx, _ = split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)
+    v = ds.V[train_idx]
+    assert standardize_snapshots(v).tobytes() == _standardized_by_std(v).tobytes()
 
 
 def test_phi0_is_raw_mean():
