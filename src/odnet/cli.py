@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 configuration error, 3 data/file error,
 4 numeric failure (NaN loss or solver blowup), 5 out of memory (an
 allocation numpy could not make). Every run writes a manifest (config
 text, seed, versions, the BLAS thread variables of the environment; for
-train and eval also the dataset file, its stored CRC32, sample count,
-generator and seed; for train also each POD member's numerical rank)
-alongside its outputs.
+train, eval and export-basis also the dataset file, its stored CRC32,
+sample count, generator and seed; for train also each POD member's
+numerical rank) alongside its outputs.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def cmd_export_basis(args) -> int:
         raise ConfigError(str(exc)) from None
     write_location_csv(args.out, ds.Y, [f"col{c}" for c in columns], values,
                        "rows of basis columns")
-    _write_manifest(args.out + ".manifest.txt", config_text, attrs.get("seed", "?"))
+    _write_manifest(args.out + ".manifest.txt", config_text, attrs.get("seed", "?"),
+                    _data_record(args.data, ds))
     print(f"wrote {args.out}: {len(columns)} column(s) over {ds.n_y} locations")
     return 0
 

@@ -299,9 +299,6 @@ def _parse_trunk(name: str, section) -> TrunkSpec:
     kind = section.get("kind", "").strip()
     if kind not in _TRUNK_KEYS:
         raise ConfigError(f"trunk {name!r}: unknown kind {kind!r}")
-    for key in section:
-        if key not in _TRUNK_SECTION[kind]:
-            raise ConfigError(f"trunk {name!r}: key {key!r} not valid for kind={kind}")
     return TrunkSpec(name=name, **_read(section, _TRUNK_SECTION[kind]))
 
 

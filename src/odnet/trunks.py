@@ -90,12 +90,6 @@ class PODRows(NamedTuple):
     columns: ad.Tensor
 
 
-def _row_keys(y: np.ndarray) -> np.ndarray:
-    """Each row of a float64 (n, d) array as one opaque item of its bytes."""
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    return y.view(np.dtype((np.void, y.dtype.itemsize * y.shape[1]))).ravel()
-
-
 class PODTrunk:
     """Data-driven constant trunk; no trainable parameters.
 
@@ -123,11 +117,6 @@ class PODTrunk:
         else:
             self._table, self.offset = basis.modes, basis.mean_function
         self.columns = self._table / self.p
-        # Exact-byte row lookup, sorted once; a stable sort keeps equal
-        # rows in index order.
-        keys = _row_keys(basis.y_locations)
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._order]
 
     @property
     def input_dim(self):
@@ -139,15 +128,12 @@ class PODTrunk:
             raise ShapeError(
                 f"POD trunk: locations shape {y.shape} does not match d_v {self.input_dim}"
             )
-        keys = _row_keys(y)
-        # The last of equal rows wins, as in a bytes-keyed dict; pos -1 never matches.
-        pos = np.searchsorted(self._sorted_keys, keys, side="right") - 1
-        if np.any(self._sorted_keys[pos] != keys):
-            raise IndexError(
-                "POD trunk evaluated off the training locations Y; "
-                "modes exist only at training sample locations"
-            )
-        rows = self._order[pos]
+        # Exact-byte lookup: the last of equal basis rows wins, -1 marks a miss.
+        index = {row.tobytes(): i for i, row in enumerate(self.basis.y_locations)}
+        rows = np.array([index.get(row.tobytes(), -1) for row in y], dtype=np.intp)
+        if np.any(rows < 0):
+            raise IndexError("POD trunk evaluated off the training locations Y; "
+                             "modes exist only at training sample locations")
         columns = self.columns[rows]
         columns.flags.writeable = False
         return PODRows(rows, ad.Tensor(columns))

@@ -314,9 +314,12 @@ def test_train_manifest_names_its_dataset(tmp_path):
     assert main(["gen", str(cfg), "--out", str(data), "--n", "12", "--seed", "4"]) == 0
     assert main(["train", str(cfg), str(data), "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
     assert main(["eval", str(tmp_path / "run-seed0.odm"), str(data)]) == 0
+    assert main(["export-basis", str(tmp_path / "run-seed0.odm"), str(data),
+                 "--columns", "0", "--out", str(tmp_path / "basis.csv")]) == 0
     (crc,) = struct.unpack("<I", data.read_bytes()[-4:])
     for manifest in (tmp_path / "run-seed0.manifest.txt",
-                     tmp_path / "run-seed0.odm.eval-manifest.txt"):
+                     tmp_path / "run-seed0.odm.eval-manifest.txt",
+                     tmp_path / "basis.csv.manifest.txt"):
         fields = _manifest_fields(manifest)
         assert fields["data_file"] == str(data)
         assert fields["data_crc32"] == f"{crc:08x}"

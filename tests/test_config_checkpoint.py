@@ -117,7 +117,7 @@ def test_missing_member_section_rejected():
 
 def test_kind_specific_keys_enforced():
     bad = GOOD.replace("kind = pod\np = 3", "kind = pod\np = 3\nhidden = 4")
-    with pytest.raises(ConfigError, match="not valid for kind=pod"):
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[trunk\.pod1\]: hidden"):
         parse_config(bad)
     with pytest.raises(ConfigError, match="unknown generator"):
         parse_config(GOOD.replace("generator = antiderivative", "generator = magic"))

@@ -261,6 +261,23 @@ def test_nan_loss_names_first_nonfinite_record(batch_size):
     assert f"first non-finite tensor is the output of linear (shape ({rows}, 1))" in str(err.value)
 
 
+def test_a_diverging_bundled_run_fails_as_numeric_error():
+    # an absurd learning rate overflows the first layer in epoch 1; under
+    # the suite's error::RuntimeWarning filter that must still surface as
+    # the NumericError that names the tensor, not as numpy's warning
+    from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
+
+    text = (CONFIG_DIR / "rd2d-vanilla.ini").read_text()
+    cfg = parse_config(text.replace("n = 240", "n = 60").replace("lr0 = 1e-3", "lr0 = 1e300"))
+    ds = generate_dataset(cfg.data)
+    train_idx, _ = split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)
+    model = build_model(cfg, ds, train_idx, 0)
+    with pytest.raises(NumericError) as err:
+        train(model, ds.U[train_idx], ds.scalar_targets()[train_idx], ds.Y, cfg.train)
+    assert err.value.epoch == 1
+    assert "first non-finite tensor is the output of linear (shape (20, 64))" in str(err.value)
+
+
 def test_pod_member_parameters_frozen_by_training():
     rng = np.random.default_rng(5)
     n, n_x, n_y = 10, 4, 8

@@ -222,7 +222,7 @@ def test_pod_row_lookup_permuted_subset_repeated():
         np.testing.assert_array_equal(bound.rows, rows)
         assert bound.columns.data.tobytes() == member.columns[rows].tobytes()
         assert not bound.columns.data.flags.writeable  # shared by every step
-    # the lookup is built once; no per-call cache or dict remains
+    # no lookup table or cache is kept on the member
     assert not any(isinstance(v, dict) for v in vars(member).values())
 
 
@@ -236,6 +236,23 @@ def test_pod_row_lookup_is_exact_bytes():
                      [[0.0, 0.0]]):                        # bytes sort before every row
         with pytest.raises(IndexError):
             member.bind(np.array(off_grid))
+
+
+def test_pod_row_lookup_keeps_the_bytes_keyed_contract():
+    # duplicates bind to the last equal basis row; a NaN matches only the
+    # same payload bytes; an empty Y binds to no rows
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                            dtype=np.uint64).view(np.float64)
+    y_locs = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [nan_a, 0.25]])
+    member = _pod_member(y_locs, modified=True)
+    assert member.bind(np.array([[0.0, 0.0]])).rows.tolist() == [2]
+    assert member.bind(y_locs[3:]).rows.tolist() == [3]
+    empty = member.bind(np.zeros((0, 2)))
+    assert empty.rows.shape == (0,) and empty.columns.data.shape == (0, 3)
+    off = y_locs[3:].copy()
+    off[0, 0] = nan_b
+    with pytest.raises(IndexError):
+        member.bind(off)
 
 
 def test_reused_binding_sees_in_place_weight_changes():
