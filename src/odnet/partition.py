@@ -21,9 +21,8 @@ def wendland_c2(r):
     arr = np.asarray(r, dtype=np.float64)
     if np.any(arr < 0.0):
         raise ValueError("wendland_c2: radial distance must be nonnegative (domain error)")
-    inside = arr <= 1.0
-    one_minus = np.where(inside, 1.0 - arr, 0.0)
-    val = one_minus ** 4 * (4.0 * arr + 1.0) * inside
+    clipped = np.minimum(arr, 1.0)  # 1 beyond the support, inf included: the kernel is 0
+    val = (1.0 - clipped) ** 4 * (4.0 * clipped + 1.0)
     if np.isscalar(r) or arr.ndim == 0:
         return float(val)
     return val
@@ -65,25 +64,28 @@ def kernel_matrix(ps: PatchSet, points: np.ndarray) -> np.ndarray:
             f"kernel_matrix: points shape {points.shape} does not match dimension {ps.dimension}"
         )
     diff = points[:, None, :] - ps.centers[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    return wendland_c2(dist / ps.radii[None, :])
+    with np.errstate(over="ignore"):  # a ratio past 1 is 0 however large
+        ratio = np.sqrt((diff * diff).sum(axis=2)) / ps.radii[None, :]
+    return wendland_c2(ratio)
 
 
 def pou_weight_matrix(ps: PatchSet, points: np.ndarray, strict: bool = True) -> np.ndarray:
     """Row-normalized kernel matrix, shape (B, P).
 
+    A row whose kernel sum is not > 0 (NaN included) is uncovered:
     strict=True raises CoverageError on any uncovered row; strict=False
     leaves uncovered rows as all zeros (used for basis exports).
     """
     psi = kernel_matrix(ps, points)
     denom = psi.sum(axis=1)
-    uncovered = denom <= 0.0
+    uncovered = ~(denom > 0.0)
     if np.any(uncovered):
         if strict:
             idx = np.flatnonzero(uncovered)
             raise CoverageError(
                 f"{idx.size} point(s) not covered by any patch (first index {idx[0]})"
             )
+        psi[uncovered] = 0.0
         denom = np.where(uncovered, 1.0, denom)
     return psi / denom[:, None]
 
@@ -98,9 +100,9 @@ def coverage_check(ps: PatchSet, points) -> list:
 def grid_patch_centers(lows, highs, counts, selected=None) -> np.ndarray:
     """Centers of selected nodes of a Cartesian grid spanning the box.
 
-    Grid nodes are uniformly spaced per axis and include the box corners.
-    ``selected`` indexes the row-major flattening of the grid; None takes
-    every node.
+    Grid nodes are uniformly spaced per axis, whose hi - lo must be finite
+    and > 0, and include the box corners. ``selected`` indexes the
+    row-major flattening of the grid; None takes every node.
     """
     lows = np.asarray(lows, dtype=np.float64).reshape(-1)
     highs = np.asarray(highs, dtype=np.float64).reshape(-1)
@@ -109,6 +111,9 @@ def grid_patch_centers(lows, highs, counts, selected=None) -> np.ndarray:
         raise ShapeError("grid_patch_centers: bounds and counts must share one length")
     if any(c < 1 for c in counts):
         raise ValueError("grid_patch_centers: counts must be >= 1 per axis")
+    with np.errstate(over="ignore"):  # a span past the largest float is inf
+        if not all(np.isfinite(span) and span > 0.0 for span in highs - lows):
+            raise ValueError("grid_patch_centers: the box needs a finite hi - lo > 0 on every axis")
     axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(lows, highs, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -118,7 +123,7 @@ def grid_patch_centers(lows, highs, counts, selected=None) -> np.ndarray:
     n = nodes.shape[0]
     for i in selected:
         if i < 0 or i >= n:
-            raise IndexError(f"grid_patch_centers: index {i} out of range [0, {n})")
+            raise IndexError(f"grid_patch_centers: selected index {i} out of range [0, {n})")
     return nodes[selected]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as datamod
-from .errors import ConfigError, CoverageError
+from .errors import ConfigError, CoverageError, ShapeError
 from .networks import ACTIVATIONS, MLPConfig, init_mlp
 from .partition import PatchSet, coverage_check, grid_patch_centers, uniform_radius
 from .pod import compute_pod
@@ -47,6 +47,12 @@ GENERATOR_KEYS = {
 }
 
 
+def _foreign_field(spec, own) -> str | None:
+    """The first field of ``spec`` outside ``own`` that is not at its default."""
+    return next((f.name for f in fields(spec)
+                 if f.name not in own and getattr(spec, f.name) != f.default), None)
+
+
 @dataclass(frozen=True)
 class TrunkSpec:
     """Declarative description of one trunk member."""
@@ -65,26 +71,17 @@ class TrunkSpec:
         where = f"trunk {self.name!r}"
         if self.kind not in _TRUNK_KEYS:
             raise ConfigError(f"{where}: unknown kind {self.kind!r}")
+        if foreign := _foreign_field(self, ("name", "kind", "p", *_TRUNK_KEYS[self.kind])):
+            raise ConfigError(f"{where}: {foreign} is not a key of kind={self.kind}")
         if self.p < 1:
             raise ConfigError(f"{where}: p must be >= 1")
         if self.kind != "pod" and (not self.hidden or min(self.hidden) < 1):
             raise ConfigError(f"{where}: hidden needs at least one width, all >= 1")
-        if self.kind != "pou":
-            return
-        if not self.bbox or len(self.bbox) != 2 * len(self.grid):
-            raise ConfigError(
-                f"{where}: bbox needs lo/hi per grid axis "
-                f"(got {len(self.bbox)} numbers for {len(self.grid)} axes)"
-            )
-        if any(hi <= lo for lo, hi in zip(self.bbox[0::2], self.bbox[1::2])):
-            raise ConfigError(f"{where}: bbox needs hi > lo on every axis")
-        if min(self.grid) < 1:
-            raise ConfigError(f"{where}: grid needs at least one node per axis")
-        nodes = math.prod(self.grid)
-        if self.select is not None and any(i < 0 or i >= nodes for i in self.select):
-            raise ConfigError(f"{where}: select indices must lie in [0, {nodes})")
-        if self.delta < 0.0:
-            raise ConfigError(f"{where}: delta must be >= 0")
+        if self.kind == "pou":  # its geometry is checked by building its patch set
+            try:
+                build_patchset(self)
+            except (ValueError, ShapeError, IndexError) as exc:
+                raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -104,10 +101,9 @@ class DataSpec:
         if self.generator not in GENERATOR_KEYS:
             raise ConfigError(f"unknown generator {self.generator!r}")
         own = ("generator", *GENERATOR_KEYS[self.generator])
-        for f in fields(self):
-            if f.name not in own and getattr(self, f.name) != f.default:
-                raise ConfigError(f"[data] {f.name} is not a key of generator={self.generator} "
-                                  f"(it takes {', '.join(own[1:])})")
+        if foreign := _foreign_field(self, own):
+            raise ConfigError(f"[data] {foreign} is not a key of generator={self.generator} "
+                              f"(it takes {', '.join(own[1:])})")
         if self.generator == "file" and not self.path:
             raise ConfigError("[data] path is required for generator=file")
         for key, low in (("n", 1), ("modes", 1), ("branch_grid", 1), ("seed", 0)):
@@ -264,7 +260,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from None
+        raise ConfigError(f"config syntax error: {' '.join(str(exc).split())}") from None
 
     known = {"data", "model", "train", "eval"}
     for sec in parser.sections():
@@ -335,6 +331,9 @@ def split_indices(n: int, test_count: int, split_seed: int):
 
 def build_patchset(spec: TrunkSpec) -> PatchSet:
     axes = len(spec.grid)
+    if not axes or len(spec.bbox) != 2 * axes:
+        raise ValueError(f"bbox needs lo/hi per grid axis "
+                         f"(got {len(spec.bbox)} numbers for {axes} axes)")
     lows = spec.bbox[0::2]
     highs = spec.bbox[1::2]
     centers = grid_patch_centers(lows, highs, spec.grid, spec.select)

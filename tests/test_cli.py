@@ -1,17 +1,21 @@
 import concurrent.futures
+import contextlib
+import io
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odnet.checkpoint import load_checkpoint, save_checkpoint
 from odnet.cli import main
 from odnet.data import (RDParams, gen_antiderivative, gen_reaction_diffusion_2d, read_dataset,
                         write_dataset)
 from odnet.errors import DataError
-from odnet.evaluation import evaluate_model
+from odnet.evaluation import evaluate_model, spatial_mse
 from odnet.pod import compute_pod
 from odnet.runconfig import build_model, parse_config, split_indices
 
@@ -132,6 +136,16 @@ MALFORMED = [
     ("train", ANTI_CFG, "split_seed = 2", "split_seed = -3"),
     ("gen", ANTI_CFG, "test_count = 5", "test_count = -1"),
     ("train", ANTI_CFG, "test_count = 5", "test_count = -2"),
+    # every other refusal a [model], [trunk.*] or [train] value can reach
+    ("gen", ANTI_CFG, "kind = vanilla", "kind = magic"),
+    ("gen", ANTI_CFG, "p = 4", "p = 0"),
+    ("gen", ANTI_CFG, "members = v1", "members = v1 v1"),
+    ("gen", ANTI_CFG, "activation = tanh", "activation = swish"),
+    ("gen", ANTI_CFG, "epochs = 3", "epochs = 0"),
+    ("gen", ANTI_CFG, "optimizer = adam", "optimizer = sgd"),
+    ("gen", RD_CFG, "grid = 8", "grid = 3"),
+    ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\nt_final = 0"),
+    ("gen", RD_CFG, "branch_grid = 4", "branch_grid = 4\ndt = 0"),
 ]
 
 
@@ -246,6 +260,110 @@ def test_gen_unknown_key_is_config_error(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(ANTI_CFG.replace("modes = 4", "modes = 4\nwat = 1"))
     assert main(["gen", str(cfg), "--out", str(tmp_path / "x.odn")]) == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    (ANTI_CFG.split("[train]")[0] + "[eval]" + ANTI_CFG.split("[eval]")[1],
+     "missing required section [train]"),
+    (ANTI_CFG.replace("members = v1", "members =").replace(
+        "[trunk.v1]\nkind = vanilla\np = 4\nhidden = 8\n", ""),
+     "[model] members must list at least one trunk"),
+    # configparser's own message spans two lines
+    (ANTI_CFG.replace("[model]", "[model"), "config syntax error: Source contains parsing "
+     "errors: '<string>' [line 9]: '[model\\n'"),
+], ids=["no [train]", "no members", "syntax error"])
+def test_a_config_of_the_wrong_shape_exits_2_with_one_line(text, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["gen", str(cfg), "--out", str(tmp_path / "x.odn")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _bundled_pou(path, bbox: str) -> str:
+    """rd2d-vanilla-pou, cut to 20 functions, with a 3 x 3 PoU grid over ``bbox``."""
+    text = (CONFIG_DIR / "rd2d-vanilla-pou.ini").read_text()
+    for old, new in (("n = 240", "n = 20"), ("test_count = 40", "test_count = 4"),
+                     ("seeds = 0 1 2", "seeds = 0"), ("grid = 3 2", "grid = 3 3"),
+                     ("bbox = 0 2 0 2", f"bbox = {bbox}")):
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("bbox", ["0 5e-324 0 5e-324", "-1e308 1e308 -1e308 1e308"])
+def test_a_pou_box_no_patch_set_can_use_exits_2_at_gen_and_train(bbox, tmp_path, capsys):
+    # a spacing that underflows to 0; a span past the largest float
+    data = str(tmp_path / "rd.odn")
+    assert main(["gen", _bundled_pou(tmp_path / "good.ini", "0 2 0 2"), "--out", data]) == 0
+    bad = _bundled_pou(tmp_path / "bad.ini", bbox)
+    for argv in (["gen", bad, "--out", str(tmp_path / "x.odn")],
+                 ["train", bad, data, "--out", str(tmp_path / "run"), "--epochs", "1"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trunk 'pu1': ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("x.odn*")) and not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("bbox,code,err", [
+    ("0 1e-320 0 1e-320", 3, "not covered by any patch"),  # radius 4e-321: no location inside
+    ("-1e200 1e200 -1e200 1e200", 0, ""),  # the centre patch covers every location
+])
+def test_a_pou_box_at_the_float_limits_trains_or_exits_3(bbox, code, err, tmp_path, capsys):
+    data = str(tmp_path / "rd.odn")
+    config = _bundled_pou(tmp_path / "pou.ini", bbox)
+    assert main(["gen", config, "--out", data]) == 0
+    capsys.readouterr()
+    assert main(["train", config, data, "--out", str(tmp_path / "run"), "--epochs", "1"]) == code
+    stderr = capsys.readouterr().err
+    assert err in stderr and stderr.count("\n") == (1 if code else 0)
+
+
+spans = st.sampled_from([0.0, 5e-324, 1e-320, 1e-308]) | st.floats(0.0, 2e6)
+
+
+@st.composite
+def pou_geometries(draw) -> str:
+    """The bbox, grid, delta and select lines of a PoU trunk; most of the
+    drawn geometries cannot be built or cover no location. Two axes, as
+    rd2d's locations have, are drawn most often, and one axis in four is
+    reversed."""
+    grid = [draw(st.integers(0, 4)) for _ in range(draw(st.sampled_from([2, 2, 2, 1, 3])))]
+    bbox = []
+    for _ in grid:
+        lo, span = draw(st.just(0.0) | st.floats(-1e6, 1e6)), draw(spans)
+        bbox += [lo, lo + span * draw(st.sampled_from([1.0, 1.0, 1.0, -1.0]))]
+    select = draw(st.none() | st.lists(st.integers(-2, 70), min_size=1, max_size=6))
+    return (f"bbox = {' '.join(map(repr, bbox))}\ngrid = {' '.join(map(str, grid))}\n"
+            f"delta = {draw(st.floats(-1.0, 10.0))!r}"
+            + (f"\nselect = {' '.join(map(str, select))}" if select else ""))
+
+
+@pytest.fixture(scope="module")
+def rd_data(tmp_path_factory):
+    """A directory and one tiny rd2d dataset in it: 8 functions on 8 x 8 locations."""
+    root = tmp_path_factory.mktemp("rd")
+    (root / "rd.ini").write_text(RD_CFG)
+    assert main(["gen", str(root / "rd.ini"), "--out", str(root / "rd.odn")]) == 0
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometry=pou_geometries())
+@example(geometry="bbox = -1e308 1e308 -1e308 1e308\ngrid = 3 3\ndelta = 0.1")
+@example(geometry="bbox = -1e200 1e200 -1e200 1e200\ngrid = 3 3\ndelta = 0.1")
+def test_every_pou_geometry_ends_in_a_documented_exit(rd_data, geometry):
+    # a run trains (0), its config is refused (2) or its patches miss a
+    # location (3), with at most one stderr line; a traceback or a
+    # RuntimeWarning (an error under the suite's filter) fails the test
+    config = rd_data / "pou.ini"
+    config.write_text(POU_CFG.replace("bbox = 0 2 0 2\ngrid = 3 2\ndelta = 0.1", geometry))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["train", str(config), str(rd_data / "rd.odn"),
+                     "--out", str(rd_data / "run"), "--epochs", "1"])
+    assert code in (0, 2, 3) and stderr.getvalue().count("\n") <= 1, stderr.getvalue()
 
 
 def test_malformed_int_list_flag_exits_2(anti_config, tmp_path, capsys):
@@ -504,6 +622,50 @@ def test_eval_summary_matches_api(pod_config, tmp_path, capsys):
     rows = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + cfg.eval.test_count
     assert (tmp_path / "report.csv.eval-manifest.txt").exists()
+
+
+def _rd_run(tmp_path, text=RD_CFG):
+    """An rd2d dataset, a one-epoch checkpoint of ``text`` and its parsed config."""
+    config, data = tmp_path / "rd.ini", str(tmp_path / "rd.odn")
+    config.write_text(text)
+    assert main(["gen", str(config), "--out", data]) == 0
+    assert main(["train", str(config), data, "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+    return data, str(tmp_path / "run-seed0.odm"), parse_config(text)
+
+
+def test_eval_mse_out_holds_the_spatial_mse_of_the_test_split(tmp_path):
+    data, ckpt, cfg = _rd_run(tmp_path)
+    out = tmp_path / "mse.csv"
+    assert main(["eval", ckpt, data, "--mse-out", str(out)]) == 0
+    ds = read_dataset(data)
+    model, _, _ = load_checkpoint(ckpt, ds)
+    _, test_idx = split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)
+    mse = spatial_mse(model.predict(ds.U[test_idx], ds.Y).data, ds.scalar_targets()[test_idx])
+    header, *rows = out.read_text().splitlines()
+    assert header == "y1,y2,mse"
+    np.testing.assert_array_equal([[float(v) for v in row.split(",")] for row in rows],
+                                  np.hstack([ds.Y, mse[:, None]]))
+
+
+@pytest.mark.parametrize("split", ["train", "all"])
+def test_eval_split_evaluates_its_rows(split, tmp_path):
+    data, ckpt, cfg = _rd_run(tmp_path)
+    out = tmp_path / "report.csv"
+    assert main(["eval", ckpt, data, "--split", split, "--out", str(out)]) == 0
+    ds = read_dataset(data)
+    model, _, _ = load_checkpoint(ckpt, ds)
+    rows = (split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)[0]
+            if split == "train" else np.arange(ds.n_samples))
+    assert len(rows) == (ds.n_samples - cfg.eval.test_count if split == "train" else ds.n_samples)
+    evaluate_model(model, ds.U[rows], ds.scalar_targets()[rows], ds.Y).to_csv(tmp_path / "api.csv")
+    assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
+
+
+def test_eval_of_an_empty_test_split_exits_3(tmp_path, capsys):
+    data, ckpt, _ = _rd_run(tmp_path, RD_CFG.replace("test_count = 2", "test_count = 0"))
+    capsys.readouterr()
+    assert main(["eval", ckpt, data, "--split", "test"]) == 3
+    assert capsys.readouterr().err == "data error: split 'test' selects no functions\n"
 
 
 # POD_CFG's canonical text as builds before the per-generator key table

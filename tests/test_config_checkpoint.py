@@ -8,7 +8,9 @@ from odnet.checkpoint import load_checkpoint, read_checkpoint_raw, save_checkpoi
 from odnet.data import (gen_antiderivative, RDParams, gen_reaction_diffusion_2d, stored_crc,
                         write_dataset)
 from odnet.errors import ConfigError, CoverageError, DataError
-from odnet.runconfig import build_model, generate_dataset, parse_config, split_indices
+from odnet.partition import uniform_radius
+from odnet.runconfig import (TrunkSpec, build_model, build_patchset, generate_dataset,
+                             parse_config, split_indices)
 from odnet.training import train
 from test_format_fuzz import CFG as FUZZ_CFG
 from odnet.trunks import PODTrunk, PoUTrunk, VanillaTrunk
@@ -127,6 +129,22 @@ def test_pou_bbox_must_match_grid():
     bad = RD_POU.replace("bbox = 0 2 0 2", "bbox = 0 2")
     with pytest.raises(ConfigError, match="bbox"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("geometry,message", [
+    ({"bbox": (0.0, 5e-324), "grid": (3,)}, "spacing H must be positive"),
+    ({"bbox": (0.0, 5e-324), "grid": (1,)}, "patch radius must be positive"),
+    ({"bbox": (0.0, 1.0), "grid": (2,), "select": ()}, "needs at least one patch"),
+])
+def test_a_pou_trunk_whose_patch_set_cannot_be_built_is_rejected(geometry, message):
+    with pytest.raises(ConfigError, match=f"^trunk 'pu': .*{message}"):
+        TrunkSpec("pu", "pou", 4, delta=0.0, **geometry)
+
+
+def test_a_one_node_pou_grid_takes_the_box_side_as_its_spacing():
+    ps = build_patchset(TrunkSpec("pu", "pou", 4, bbox=(0.0, 2.0, 1.0, 4.0), grid=(1, 1)))
+    np.testing.assert_array_equal(ps.centers, [[0.0, 1.0]])
+    np.testing.assert_array_equal(ps.radii, [uniform_radius(0.1, 3.0, 2)])
 
 
 def test_split_disjoint_and_deterministic():

@@ -38,7 +38,8 @@ def trunk_specs(draw, name):
     bbox = ()
     for _ in grid:
         lo = draw(st.floats(-1e6, 1e6))
-        bbox += (lo, draw(st.floats(min_value=lo, max_value=2e6, exclude_min=True)))
+        # a span every build accepts; narrower boxes are refused (test_config_checkpoint)
+        bbox += (lo, draw(st.floats(min_value=lo + 1e-6 * max(1.0, abs(lo)), max_value=2e6)))
     nodes = math.prod(grid)
     select = draw(st.none() | st.lists(st.integers(0, nodes - 1), min_size=1, max_size=8).map(tuple))
     return TrunkSpec(name, kind, p, hidden=draw(widths), bbox=bbox, grid=grid,
@@ -146,6 +147,17 @@ def test_parsed_and_built_configs_share_their_defaults(kind, extra):
     spec = TrunkSpec("x", kind, 8, **extra)
     assert cfg.members == [spec]
     assert cfg == RunConfig(data=DataSpec("rd2d"), members=[spec], train=TrainConfig())
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("pod", {"hidden": (5,)}), ("vanilla", {"modified": False}), ("vanilla", {"delta": 0.2}),
+    ("pod", {"bbox": (0.0, 1.0), "grid": (2,)}),
+])
+def test_a_built_trunk_with_a_field_of_another_kind_is_rejected(kind, extra):
+    # its text could not hold the field, so it would not parse back to it
+    with pytest.raises(ConfigError, match=f"trunk 'a': {next(iter(extra))} is not a key of "
+                                          f"kind={kind}"):
+        TrunkSpec("a", kind, 4, **extra)
 
 
 def test_a_training_seed_other_than_the_first_seed_is_rejected():

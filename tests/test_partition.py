@@ -169,7 +169,7 @@ def test_grid_centers_3d_eight_patches():
 
 
 def test_grid_centers_out_of_range_index():
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"selected index 4 out of range \[0, 4\)"):
         grid_patch_centers([0, 0], [1, 1], [2, 2], selected=[4])
 
 
@@ -229,3 +229,47 @@ def test_patchset_holds_read_only_copies():
         ps.centers[0, 0] = 1.0
     with pytest.raises(ValueError):
         ps.radii[0] = 2.0
+
+
+@pytest.mark.parametrize("lows,highs", [
+    ([0.0, 1.0], [1.0, 0.0]),  # reversed on one axis
+    ([0.0, 0.0], [1.0, 0.0]),  # a flat axis
+    ([-1e308, -1e308], [1e308, 1e308]),  # a span past the largest float
+])
+def test_grid_centers_need_a_finite_positive_span(lows, highs):
+    # under the suite's filter, an overflow warning would fail here too
+    with pytest.raises(ValueError, match="finite hi - lo > 0"):
+        grid_patch_centers(lows, highs, [3, 3])
+
+
+def test_wendland_is_exactly_zero_at_infinity():
+    assert wendland_c2(math.inf) == 0.0
+    np.testing.assert_array_equal(wendland_c2(np.array([0.0, 2.0, np.inf])), [1.0, 0.0, 0.0])
+
+
+def test_kernel_of_a_tiny_patch_is_zero_away_from_it():
+    # the distance over a 1e-320 radius overflows to inf: the kernel is 0
+    ps = PatchSet([[0.0, 0.0]], [1e-320])
+    np.testing.assert_array_equal(kernel_matrix(ps, np.array([[0.0, 0.0], [0.5, 0.5]])),
+                                  [[1.0], [0.0]])
+
+
+def test_kernel_far_outside_a_huge_box_is_zero():
+    # squared differences of 1e200 overflow to inf: those patches read 0
+    centers = grid_patch_centers([-1e200, -1e200], [1e200, 1e200], [3, 3])
+    ps = PatchSet(centers, np.full(9, uniform_radius(0.1, 1e200, 2)))
+    points = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
+    weights = pou_weight_matrix(ps, points)
+    np.testing.assert_array_equal(weights[:, 4], 1.0)  # only the centre patch
+    assert coverage_check(ps, points) == []
+
+
+def test_a_nan_kernel_row_is_uncovered():
+    ps = PatchSet([[0.0, 0.0], [1.0, 0.0]], [2.0, 2.0])
+    points = np.array([[0.5, 0.0], [np.nan, 0.0]])
+    with pytest.raises(CoverageError, match="first index 1"):
+        pou_weight_matrix(ps, points)
+    weights = pou_weight_matrix(ps, points, strict=False)
+    np.testing.assert_array_equal(weights[1], [0.0, 0.0])
+    assert weights[0].sum() == 1.0
+    assert coverage_check(ps, points) == [1]
