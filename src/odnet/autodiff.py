@@ -185,22 +185,17 @@ def _check_2d(t: Tensor, op: str):
         raise ShapeError(f"{op}: expected a 2-d tensor, got shape {t.data.shape}")
 
 
-ACTIVATIONS = ("relu", "leaky_relu", "tanh")
 LEAKY_SLOPE = 0.01  # leaky_relu's slope on the negative side
 
-
-def _activation_grad(activation: str | None, out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g times the activation's derivative, in place in the adjoint g (see
-    ``Tape``), read off the activated output: out > 0 exactly where the
-    input was > 0 (for leaky_relu too, its slope being positive), and
-    tanh' = 1 - tanh^2."""
-    if activation == "relu":
-        np.multiply(g, out > 0.0, out=g)
-    elif activation == "leaky_relu":
-        np.multiply(g, np.where(out > 0.0, 1.0, LEAKY_SLOPE), out=g)
-    elif activation == "tanh":
-        np.multiply(g, 1.0 - out * out, out=g)
-    return g
+# name -> (forward, in place on the product; derivative, read off the output): out > 0
+# exactly where the input was > 0 (leaky_relu's slope being positive); tanh' = 1 - tanh^2.
+_ACTIVATION = {
+    "relu": (lambda a: np.maximum(a, 0.0, out=a), lambda out: out > 0.0),
+    "leaky_relu": (lambda a: np.multiply(a, LEAKY_SLOPE, out=a, where=~(a > 0.0)),
+                   lambda out: np.where(out > 0.0, 1.0, LEAKY_SLOPE)),
+    "tanh": (lambda a: np.tanh(a, out=a), lambda out: 1.0 - out * out),
+}
+ACTIVATIONS = tuple(_ACTIVATION)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None, *,
@@ -223,23 +218,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None, *,
         raise ShapeError(
             f"linear: bias shape {b.data.shape} does not match columns of {w.data.shape}"
         )
-    if activation is not None and activation not in ACTIVATIONS:
+    if activation is not None and activation not in _ACTIVATION:
         raise ValueError(f"linear: unknown activation {activation!r}")
+    forward, derivative = _ACTIVATION.get(activation, (None, None))
     data = x.data @ w.data
     data += b.data
-    if activation == "relu":
-        np.maximum(data, 0.0, out=data)
-    elif activation == "leaky_relu":
-        np.multiply(data, LEAKY_SLOPE, out=data, where=~(data > 0.0))
-    elif activation == "tanh":
-        np.tanh(data, out=data)
+    if forward is not None:
+        forward(data)
     out = Tensor(data)
     if tape is not None and (x._tracked or w._tracked or b._tracked):
         xdata, wdata = x.data, w.data
         need_x, need_w, need_b = x._tracked, w._tracked, b._tracked
 
         def backward_fn(g):
-            g = _activation_grad(activation, data, g)
+            if derivative is not None:  # in place in the adjoint g (see ``Tape``)
+                np.multiply(g, derivative(data), out=g)
             gx = g @ wdata.T if need_x else None
             gw = xdata.T @ g if need_w else None
             gb = g.sum(axis=0) if need_b else None

@@ -1,12 +1,13 @@
 """Command-line orchestration: gen, train, eval, export-basis, inspect.
 
-Exit codes: 0 success, 2 configuration error, 3 data/file error,
-4 numeric failure (NaN loss or solver blowup), 5 out of memory (an
-allocation numpy could not make). Every run writes a manifest (config
-text, seed, versions, the BLAS thread variables of the environment; for
-train, eval and export-basis also the dataset file, its stored CRC32,
-sample count, generator and seed; for train also each POD member's
-numerical rank) alongside its outputs.
+Exit codes: 0 success, 1 a ``--jobs`` worker process died (the line
+names the seeds that did not finish), 2 configuration error, 3 data/file
+error, 4 numeric failure (NaN loss or solver blowup), 5 out of memory (an
+allocation numpy could not make), 130 interrupted. Every run writes a
+manifest (config text, seed, versions, the BLAS thread variables of the
+environment; for train, eval and export-basis also the dataset file, its
+stored CRC32, sample count, generator and seed; for train also each POD
+member's numerical rank) alongside its outputs.
 """
 
 from __future__ import annotations
@@ -131,20 +132,25 @@ def cmd_train(args) -> int:
     cfg = dataclasses.replace(cfg, seeds=seeds)
     _check_out_dirs(args, "out")
     jobs = min(args.jobs, len(seeds))  # a fork pool starts all its workers at once
-    results = []
+    results, died = [], []
     if jobs == 1:
         for seed in seeds:
             results.append(_train_one_seed(cfg, args.data, seed, args.out))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_train_one_seed, cfg, args.data, seed, args.out)
-                for seed in seeds
-            ]
-            results = [f.result() for f in futures]
+            futures = {seed: pool.submit(_train_one_seed, cfg, args.data, seed, args.out)
+                       for seed in seeds}
+            # wait inside the block (an interrupt in the pool's shutdown hangs the
+            # exit); a dead worker fails every future the pool had not finished
+            died = [seed for seed, f in futures.items()
+                    if isinstance(f.exception(), concurrent.futures.BrokenExecutor)]
+        results = [f.result() for seed, f in futures.items() if seed not in died]
     for seed, ckpt, final_loss, sec, phash in sorted(results):
         print(f"seed {seed}: final_loss={final_loss:.6g} "
               f"epoch_seconds={sec:.6g} params={phash} -> {ckpt}")
+    if died:
+        raise OdnetError(f"a worker process died; seed(s) {', '.join(map(str, died))} "
+                         "did not finish")
     return 0
 
 
@@ -308,6 +314,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return 5
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError and
-ShapeError -> 3, NumericError -> 4 (and a MemoryError -> 5).
+ShapeError -> 3, NumericError -> 4, any other OdnetError (such as a dead
+``--jobs`` worker, naming the seeds that did not finish) -> 1 (and a
+MemoryError -> 5, an interrupt -> 130).
 """
 
 

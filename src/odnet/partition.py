@@ -32,8 +32,10 @@ class PatchSet:
     """P balls of one dimension d: read-only float64 copies of the caller's
     ``centers`` (P, d) and ``radii`` (P,), so weights computed from a set
     stay valid for it, and the overlap ``delta`` the radii were sized with.
-    Arrays of other shapes (ragged rows included) are a ShapeError; no
-    patches, or a radius that is not > 0 (NaN included), a ValueError."""
+    Arrays of other shapes (ragged rows or d = 0 included) are a
+    ShapeError; no patches, or a radius outside (0, sqrt(max float / 2d)]
+    (NaN and inf included), a ValueError. Within that bound, the squared
+    distance of a covered point, at most d r^2, cannot overflow."""
 
     def __init__(self, centers, radii, delta: float = 0.0):
         try:
@@ -43,11 +45,12 @@ class PatchSet:
             raise ShapeError("PatchSet: centers and radii must be (P, d) and (P,) arrays") from None
         if not radii.size:
             raise ValueError("PatchSet needs at least one patch")
-        if centers.ndim != 2 or radii.shape != centers.shape[:1]:
+        if centers.ndim != 2 or radii.shape != centers.shape[:1] or not centers.shape[1]:
             raise ShapeError(f"PatchSet: centers {centers.shape} and radii {radii.shape} "
-                             "must be (P, d) and (P,)")
-        if not (radii > 0.0).all():
-            raise ValueError("patch radius must be positive")
+                             "must be (P, d) and (P,), d >= 1")
+        bound = np.sqrt(np.finfo(np.float64).max / (2 * centers.shape[1]))
+        if not ((radii > 0.0) & (radii <= bound)).all():
+            raise ValueError(f"patch radius must be positive and at most {bound:.2g}")
         centers.flags.writeable = radii.flags.writeable = False
         self.centers, self.radii, self.delta = centers, radii, float(delta)
         self.dimension = centers.shape[1]

@@ -117,6 +117,11 @@ _NUMPY_ACTIVATIONS = {
 }
 
 
+def test_every_activation_has_a_numpy_reference():
+    # the oracles below cover exactly the activations linear accepts
+    assert sorted(_NUMPY_ACTIVATIONS) == sorted(ad.ACTIVATIONS)
+
+
 @pytest.mark.parametrize("activation", sorted(_NUMPY_ACTIVATIONS))
 def test_fused_activation_matches_numpy_bit_for_bit(activation):
     # act(x @ w + b) as separate numpy ops, forward untaped and taped, and

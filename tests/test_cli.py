@@ -1,8 +1,13 @@
 import concurrent.futures
 import contextlib
 import io
+import os
+import signal
 import struct
+import subprocess
+import sys
 import zlib
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import odnet
 from odnet.checkpoint import load_checkpoint, save_checkpoint
 from odnet.cli import main
 from odnet.data import (RDParams, gen_antiderivative, gen_reaction_diffusion_2d, read_dataset,
@@ -279,21 +285,23 @@ def test_a_config_of_the_wrong_shape_exits_2_with_one_line(text, message, tmp_pa
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def _bundled_pou(path, bbox: str) -> str:
+def _bundled_pou(path, bbox: str, delta: str = "0.1") -> str:
     """rd2d-vanilla-pou, cut to 20 functions, with a 3 x 3 PoU grid over ``bbox``."""
     text = (CONFIG_DIR / "rd2d-vanilla-pou.ini").read_text()
     for old, new in (("n = 240", "n = 20"), ("test_count = 40", "test_count = 4"),
                      ("seeds = 0 1 2", "seeds = 0"), ("grid = 3 2", "grid = 3 3"),
-                     ("bbox = 0 2 0 2", f"bbox = {bbox}")):
+                     ("bbox = 0 2 0 2", f"bbox = {bbox}"), ("delta = 0.1", f"delta = {delta}")):
         assert old in text
         text = text.replace(old, new)
     path.write_text(text)
     return str(path)
 
 
-@pytest.mark.parametrize("bbox", ["0 5e-324 0 5e-324", "-1e308 1e308 -1e308 1e308"])
+@pytest.mark.parametrize("bbox", ["0 5e-324 0 5e-324", "-1e308 1e308 -1e308 1e308",
+                                  "-1e200 1e200 -1e200 1e200"])
 def test_a_pou_box_no_patch_set_can_use_exits_2_at_gen_and_train(bbox, tmp_path, capsys):
-    # a spacing that underflows to 0; a span past the largest float
+    # a spacing that underflows to 0; a span past the largest float; a
+    # radius whose squared distances could overflow
     data = str(tmp_path / "rd.odn")
     assert main(["gen", _bundled_pou(tmp_path / "good.ini", "0 2 0 2"), "--out", data]) == 0
     bad = _bundled_pou(tmp_path / "bad.ini", bbox)
@@ -308,7 +316,6 @@ def test_a_pou_box_no_patch_set_can_use_exits_2_at_gen_and_train(bbox, tmp_path,
 
 @pytest.mark.parametrize("bbox,code,err", [
     ("0 1e-320 0 1e-320", 3, "not covered by any patch"),  # radius 4e-321: no location inside
-    ("-1e200 1e200 -1e200 1e200", 0, ""),  # the centre patch covers every location
 ])
 def test_a_pou_box_at_the_float_limits_trains_or_exits_3(bbox, code, err, tmp_path, capsys):
     data = str(tmp_path / "rd.odn")
@@ -320,7 +327,22 @@ def test_a_pou_box_at_the_float_limits_trains_or_exits_3(bbox, code, err, tmp_pa
     assert err in stderr and stderr.count("\n") == (1 if code else 0)
 
 
-spans = st.sampled_from([0.0, 5e-324, 1e-320, 1e-308]) | st.floats(0.0, 2e6)
+@pytest.mark.parametrize("delta", ["10", "1e308"])
+def test_a_pou_radius_past_the_overflow_bound_exits_2(delta, tmp_path, capsys):
+    # radius 7.8e200, at which eight patches covering (0.5, 0.5) would read
+    # 0; and an infinite radius, which would divide inf by inf
+    data = str(tmp_path / "rd.odn")
+    assert main(["gen", _bundled_pou(tmp_path / "good.ini", "0 2 0 2"), "--out", data]) == 0
+    bad = _bundled_pou(tmp_path / "bad.ini", "-1e200 1e200 -1e200 1e200", delta)
+    for argv in (["gen", bad, "--out", str(tmp_path / "x.odn")],
+                 ["train", bad, data, "--out", str(tmp_path / "run"), "--epochs", "1"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("config error: trunk 'pu1': patch radius must be "
+                                           "positive and at most 6.7e+153\n")
+
+
+spans = st.sampled_from([0.0, 5e-324, 1e-320, 1e-308, 1e200]) | st.floats(0.0, 2e6)
 
 
 @st.composite
@@ -336,7 +358,7 @@ def pou_geometries(draw) -> str:
         bbox += [lo, lo + span * draw(st.sampled_from([1.0, 1.0, 1.0, -1.0]))]
     select = draw(st.none() | st.lists(st.integers(-2, 70), min_size=1, max_size=6))
     return (f"bbox = {' '.join(map(repr, bbox))}\ngrid = {' '.join(map(str, grid))}\n"
-            f"delta = {draw(st.floats(-1.0, 10.0))!r}"
+            f"delta = {draw(st.floats(-1.0, 10.0) | st.sampled_from([1e154, 1e308]))!r}"
             + (f"\nselect = {' '.join(map(str, select))}" if select else ""))
 
 
@@ -353,6 +375,8 @@ def rd_data(tmp_path_factory):
 @given(geometry=pou_geometries())
 @example(geometry="bbox = -1e308 1e308 -1e308 1e308\ngrid = 3 3\ndelta = 0.1")
 @example(geometry="bbox = -1e200 1e200 -1e200 1e200\ngrid = 3 3\ndelta = 0.1")
+@example(geometry="bbox = -1e200 1e200 -1e200 1e200\ngrid = 3 3\ndelta = 10.0")
+@example(geometry="bbox = -1e200 1e200 -1e200 1e200\ngrid = 3 3\ndelta = 1e308")
 def test_every_pou_geometry_ends_in_a_documented_exit(rd_data, geometry):
     # a run trains (0), its config is refused (2) or its patches miss a
     # location (3), with at most one stderr line; a traceback or a
@@ -513,6 +537,97 @@ def test_train_jobs_start_at_most_one_worker_per_seed(anti_config, tmp_path, mon
     ]) == 0
     assert requested == [2]
     assert (tmp_path / "run-seed3.odm").exists() and (tmp_path / "run-seed4.odm").exists()
+
+
+def test_a_dead_worker_is_one_line_naming_the_seeds_that_did_not_finish(
+        anti_config, tmp_path, monkeypatch, capsys):
+    # the stand-in pool runs seed 3 and fails seed 4's future as a pool
+    # whose worker died does
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, cfg, data, seed, out):
+            future = concurrent.futures.Future()
+            if seed == 4:
+                future.set_exception(BrokenProcessPool("a process terminated abruptly"))
+            else:
+                future.set_result(fn(cfg, data, seed, out))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    data = str(tmp_path / "anti.odn")
+    assert main(["gen", anti_config, "--out", data]) == 0
+    capsys.readouterr()
+    assert main(["train", anti_config, data, "--out", str(tmp_path / "run"),
+                 "--seeds", "3,4", "--epochs", "1", "--jobs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("seed 3: final_loss=") and out.count("\n") == 1
+    assert err == "error: a worker process died; seed(s) 4 did not finish\n"
+    assert (tmp_path / "run-seed3.odm").exists() and not (tmp_path / "run-seed4.odm").exists()
+
+
+# Runs ``odnet.cli.main`` on its arguments with ``_train_one_seed`` replaced
+# by a function of this module's ``__main__`` (so a forked worker finds it).
+_TRAIN_SCRIPT = """
+import os, signal, sys
+import odnet.cli
+
+real = odnet.cli._train_one_seed
+
+def _train_one_seed(cfg, data, seed, out):
+    {body}
+    return real(cfg, data, seed, out)
+
+odnet.cli._train_one_seed = _train_one_seed
+sys.exit(odnet.cli.main(sys.argv[1:]))
+"""
+
+
+def _run_script(body: str, *argv):
+    """(return code, stderr) of the script; a run still going after 60 s is
+    killed with its workers, and the test fails on the timeout."""
+    src = str(Path(odnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-c", _TRAIN_SCRIPT.format(body=body), *argv],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("body,jobs", [
+    ("os.kill(os.getpid(), signal.SIGINT)", []),
+    # the worker of seed 1 interrupts the command while it waits on the pool
+    ("if seed == 1:\n        os.kill(os.getppid(), signal.SIGINT)", ["--seeds", "0,1", "--jobs", "2"]),
+], ids=["serial", "jobs"])
+def test_an_interrupt_exits_130_with_one_line(body, jobs, anti_config, tmp_path):
+    data = str(tmp_path / "anti.odn")
+    assert main(["gen", anti_config, "--out", data]) == 0
+    assert _run_script(body, "train", anti_config, data, "--out", str(tmp_path / "run"),
+                       "--epochs", "1", *jobs) == (130, "interrupted\n")
+
+
+def test_a_worker_that_dies_in_a_fork_pool_exits_1_with_one_line(anti_config, tmp_path):
+    data = str(tmp_path / "anti.odn")
+    assert main(["gen", anti_config, "--out", data]) == 0
+    code, err = _run_script("if seed == 1:\n        os._exit(137)",
+                            "train", anti_config, data, "--out", str(tmp_path / "run"),
+                            "--seeds", "0,1", "--epochs", "1", "--jobs", "2")
+    assert code == 1, err
+    assert err.startswith("error: a worker process died; seed(s) ")
+    assert err.count("\n") == 1 and "1 did not finish" in err
+    assert not (tmp_path / "run-seed1.odm").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -43,7 +43,7 @@ def trunk_specs(draw, name):
     nodes = math.prod(grid)
     select = draw(st.none() | st.lists(st.integers(0, nodes - 1), min_size=1, max_size=8).map(tuple))
     return TrunkSpec(name, kind, p, hidden=draw(widths), bbox=bbox, grid=grid,
-                     select=select, delta=draw(nonneg))
+                     select=select, delta=draw(st.floats(0.0, 1e6)))
 
 
 DATA_VALUES = {

@@ -255,13 +255,37 @@ def test_kernel_of_a_tiny_patch_is_zero_away_from_it():
 
 
 def test_kernel_far_outside_a_huge_box_is_zero():
-    # squared differences of 1e200 overflow to inf: those patches read 0
-    centers = grid_patch_centers([-1e200, -1e200], [1e200, 1e200], [3, 3])
-    ps = PatchSet(centers, np.full(9, uniform_radius(0.1, 1e200, 2)))
-    points = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
-    weights = pou_weight_matrix(ps, points)
-    np.testing.assert_array_equal(weights[:, 4], 1.0)  # only the centre patch
-    assert coverage_check(ps, points) == []
+    # squared differences of 1e200 overflow to inf: every patch reads 0
+    centers = grid_patch_centers([0.0, 0.0], [1.0, 1.0], [3, 3])
+    ps = PatchSet(centers, np.full(9, uniform_radius(0.1, 0.5, 2)))
+    points = np.array([[0.5, 0.5], [1e200, 1e200], [-1e200, 1e200]])
+    psi = kernel_matrix(ps, points)
+    assert psi[0].sum() > 0.0
+    np.testing.assert_array_equal(psi[1:], 0.0)
+    assert coverage_check(ps, points) == [1, 2]
+
+
+_LARGEST_RADIUS_2D = math.sqrt(np.finfo(np.float64).max / 4)  # sqrt(max / (2 d)), d = 2
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 1e160, 2 * _LARGEST_RADIUS_2D])
+def test_patchset_refuses_a_radius_whose_distances_could_overflow(radius):
+    with pytest.raises(ValueError, match=r"^patch radius must be positive and at most 6.7e\+153$"):
+        PatchSet([[0.0, 0.0], [1.0, 0.0]], [1.0, radius])
+
+
+def test_patchset_refuses_a_dimension_of_0():
+    with pytest.raises(ShapeError, match="d >= 1"):
+        PatchSet(np.zeros((2, 0)), [1.0, 1.0])
+
+
+def test_the_largest_radius_weights_a_point_it_covers():
+    # d r^2 <= max / 2: the squared distance of a covered point is finite
+    r = _LARGEST_RADIUS_2D
+    ps = PatchSet([[0.0, 0.0]], [r])
+    psi = kernel_matrix(ps, np.array([[0.5 * r, 0.0], [0.0, 0.99 * r], [0.7 * r, 0.7 * r]]))
+    assert psi[0, 0] == 0.1875  # (1 - 1/2)^4 (4/2 + 1)
+    assert psi[1, 0] > 0.0 and psi[2, 0] > 0.0
 
 
 def test_a_nan_kernel_row_is_uncovered():
