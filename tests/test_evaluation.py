@@ -18,6 +18,7 @@ from odnet.evaluation import (
 )
 from odnet.networks import MLPConfig, init_mlp
 from odnet.runconfig import split_indices
+from odnet.training import TrainReport
 from odnet.trunks import EnsembleModel, VanillaTrunk
 from test_trunks import CONFIG_DIR, _bundled
 
@@ -181,6 +182,36 @@ def test_location_csv_bytes(tmp_path):
         "y1,y2,col0,col4\n"
         "0.10000000000000001,2,1e-300,5\n"
         "0.33333333333333331,-0,3.1415926535897931,-2.5\n"
+    )
+
+
+def test_csv_writers_golden_bytes(tmp_path):
+    # the exact text of all three CSV writers, on values whose formatting
+    # could drift: -0, subnormal, huge, NaN and inf, and an empty report
+    inf, nan = float("inf"), float("nan")
+    report = TrainReport([0.1, 1.0 / 3.0, -0.0, 5e-324], [1e308, nan, inf, -inf],
+                         [1.0 / 3.0, -0.0, nan, 1e-7])
+    report.to_csv(tmp_path / "loss.csv")
+    assert (tmp_path / "loss.csv").read_bytes() == (
+        b"epoch,loss,lr,seconds\n"
+        b"0,0.10000000000000001,1e+308,0.333333\n"
+        b"1,0.33333333333333331,nan,-0\n"
+        b"2,-0,inf,nan\n"
+        b"3,4.9406564584124654e-324,-inf,1e-07\n"
+    )
+    TrainReport().to_csv(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == b"epoch,loss,lr,seconds\n"
+    EvalReport("toy", "m", np.array([0.1, -0.0, nan, 5e-324]), np.zeros(4), 0.0).to_csv(
+        tmp_path / "eval.csv")
+    assert (tmp_path / "eval.csv").read_bytes() == (
+        b"function,relative_l2\n0,0.10000000000000001\n1,-0\n2,nan\n3,4.9406564584124654e-324\n"
+    )
+    write_location_csv(tmp_path / "loc.csv", np.array([[inf, -0.0, 1e308], [0.1, nan, 5e-324]]),
+                       ["a", "b"], np.array([[-inf, 1.0 / 3.0], [2.0, -1e-300]]), "rows")
+    assert (tmp_path / "loc.csv").read_bytes() == (
+        b"y1,y2,y3,a,b\n"
+        b"inf,-0,1e+308,-inf,0.33333333333333331\n"
+        b"0.10000000000000001,nan,4.9406564584124654e-324,2,-1e-300\n"
     )
 
 
