@@ -25,7 +25,7 @@ from . import __version__
 from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, parameter_counts,
                          pod_ranks, read_checkpoint_raw, save_checkpoint)
 from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
-from .errors import ConfigError, DataError, NumericError, OdnetError, ShapeError
+from .errors import ConfigError, DataError, NumericError, OdnetError
 from .evaluation import evaluate_model, write_location_csv
 from .runconfig import (GENERATOR_KEYS, _ints, build_model, data_generator, generate_dataset,
                         parse_config, split_indices)
@@ -296,18 +296,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ShapeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
     except OdnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

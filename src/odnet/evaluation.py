@@ -101,10 +101,8 @@ class EvalReport:
         )
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("function,relative_l2\n")
-            for i, e in enumerate(self.per_function):
-                fh.write(f"{i},{e:.17g}\n")
+        rows = np.column_stack([np.arange(len(self.per_function)), self.per_function])
+        np.savetxt(path, rows, "%d,%.17g", header="function,relative_l2", comments="")
 
     def spatial_mse_csv(self, path, y_locations):
         write_location_csv(path, y_locations, ["mse"], self.spatial_mse_field[:, None],
@@ -119,10 +117,8 @@ def write_location_csv(path, y_locations, names, values, what: str):
     y = np.asarray(y_locations, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != len(values):
         raise ShapeError(f"locations of shape {y.shape} for {len(values)} {what}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([*(f"y{j + 1}" for j in range(y.shape[1])), *names]) + "\n")
-        for row in np.hstack([y, values]):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.hstack([y, values]), "%.17g", ",", comments="",
+               header=",".join([*(f"y{j + 1}" for j in range(y.shape[1])), *names]))
 
 
 def evaluate_model(model, u_samples, v_targets, y_locations,

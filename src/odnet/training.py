@@ -67,10 +67,9 @@ class TrainReport:
         return float(np.mean(self.epoch_seconds)) if self.epoch_seconds else 0.0
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("epoch,loss,lr,seconds\n")
-            for e, (loss, lr, sec) in enumerate(zip(self.losses, self.lrs, self.epoch_seconds)):
-                fh.write(f"{e},{loss:.17g},{lr:.17g},{sec:.6g}\n")
+        rows = np.column_stack([range(self.epochs_run), self.losses, self.lrs, self.epoch_seconds])
+        np.savetxt(path, rows, "%d,%.17g,%.17g,%.6g", header="epoch,loss,lr,seconds",
+                   comments="")
 
 
 def mse_loss(pred: ad.Tensor, target, tape: ad.Tape | None = None) -> ad.Tensor:
