@@ -1,8 +1,9 @@
 """Command-line orchestration: gen, train, eval, export-basis, inspect.
 
-Exit codes: 0 success, 1 a ``--jobs`` worker process died (the line
-names the seeds that did not finish), 2 configuration error, 3 data/file
-error, 4 numeric failure (NaN loss or solver blowup), 5 out of memory (an
+Exit codes: 0 success, 1 a ``--jobs`` worker process died (the seeds its
+broken pool stopped run again one at a time; the line names the seeds
+whose own worker died), 2 configuration error, 3 data/file error, 4
+numeric failure (NaN loss or solver blowup), 5 out of memory (an
 allocation numpy could not make), 130 interrupted. Every run writes a
 manifest (config text, seed, versions, the BLAS thread variables of the
 environment; for train, eval and export-basis also the dataset file, its
@@ -26,7 +27,7 @@ from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, pa
                          pod_ranks, read_checkpoint_raw, save_checkpoint)
 from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError
-from .evaluation import evaluate_model, write_location_csv
+from .evaluation import evaluate_model, replacing, write_location_csv
 from .runconfig import (GENERATOR_KEYS, _ints, build_model, data_generator, generate_dataset,
                         parse_config, split_indices)
 from .training import OPTIMIZERS, train
@@ -39,6 +40,8 @@ def _read_text(path) -> str:
             return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _data_record(path, ds) -> dict:
@@ -53,17 +56,14 @@ def _data_record(path, ds) -> dict:
 
 
 def _write_manifest(path, config_text: str, seed, data: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"odnet_version={__version__}\n")
-        fh.write(f"numpy_version={np.__version__}\n")
-        fh.write(f"python_version={platform.python_version()}\n")
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            fh.write(f"env.{var}={os.environ.get(var, 'unset')}\n")
-        fh.write(f"seed={seed}\n")
-        for key, value in (data or {}).items():
-            fh.write(f"{key}={value}\n")
-        fh.write("config:\n")
-        fh.write(config_text)
+    fields = {"odnet_version": __version__, "numpy_version": np.__version__,
+              "python_version": platform.python_version(),
+              **{f"env.{var}": os.environ.get(var, "unset")
+                 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+              "seed": seed, **(data or {})}
+    text = "".join(f"{key}={value}\n" for key, value in fields.items())
+    with replacing(path) as fh:
+        fh.write(f"{text}config:\n{config_text}".encode("utf-8"))
 
 
 def _check_out_dirs(args, *dests):
@@ -133,18 +133,26 @@ def cmd_train(args) -> int:
     _check_out_dirs(args, "out")
     jobs = min(args.jobs, len(seeds))  # a fork pool starts all its workers at once
     results, died = [], []
+
+    def pooled(batch, workers):
+        """Runs the seeds in one fork pool; returns those it did not finish."""
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {seed: pool.submit(_train_one_seed, cfg, args.data, seed, args.out)
+                       for seed in batch}
+            # wait inside the block (an interrupt in the pool's shutdown hangs the
+            # exit); a dead worker fails every future the pool had not finished
+            stopped = [seed for seed, f in futures.items()
+                       if isinstance(f.exception(), concurrent.futures.BrokenExecutor)]
+        results.extend(f.result() for seed, f in futures.items() if seed not in stopped)
+        return stopped
+
     if jobs == 1:
         for seed in seeds:
             results.append(_train_one_seed(cfg, args.data, seed, args.out))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {seed: pool.submit(_train_one_seed, cfg, args.data, seed, args.out)
-                       for seed in seeds}
-            # wait inside the block (an interrupt in the pool's shutdown hangs the
-            # exit); a dead worker fails every future the pool had not finished
-            died = [seed for seed, f in futures.items()
-                    if isinstance(f.exception(), concurrent.futures.BrokenExecutor)]
-        results = [f.result() for seed, f in futures.items() if seed not in died]
+        # a seed the broken pool stopped runs again alone; only a seed whose
+        # own worker dies again is reported
+        died = [seed for seed in pooled(seeds, jobs) if pooled([seed], 1)]
     for seed, ckpt, final_loss, sec, phash in sorted(results):
         print(f"seed {seed}: final_loss={final_loss:.6g} "
               f"epoch_seconds={sec:.6g} params={phash} -> {ckpt}")

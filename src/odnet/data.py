@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .evaluation import vector_field_magnitude
+from .evaluation import replacing, vector_field_magnitude
 
 MAGIC = b"ODNSET01"
 FORMAT_VERSION = 1
@@ -431,7 +431,7 @@ class _SealedWriter:
 
     def save(self, path):
         blob = b"".join(self._parts)
-        with open(path, "wb") as fh:
+        with replacing(path) as fh:
             fh.write(blob)
             fh.write(struct.pack("<I", zlib.crc32(blob)))
 

@@ -3,6 +3,8 @@ pointwise spatial MSE over functions, and vector-field magnitude handling."""
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -102,11 +104,28 @@ class EvalReport:
 
     def to_csv(self, path):
         rows = np.column_stack([np.arange(len(self.per_function)), self.per_function])
-        np.savetxt(path, rows, "%d,%.17g", header="function,relative_l2", comments="")
+        with replacing(path) as fh:
+            np.savetxt(fh, rows, "%d,%.17g", header="function,relative_l2", comments="")
 
     def spatial_mse_csv(self, path, y_locations):
         write_location_csv(path, y_locations, ["mse"], self.spatial_mse_field[:, None],
                            "spatial MSE values")
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A binary handle on ``<path>.<pid>.part``, renamed over ``path`` when
+    the block ends and removed if it raises: the one way odnet writes a
+    file, so a run that dies mid-write leaves the old file whole."""
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, "wb") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
 
 
 def write_location_csv(path, y_locations, names, values, what: str):
@@ -117,8 +136,9 @@ def write_location_csv(path, y_locations, names, values, what: str):
     y = np.asarray(y_locations, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != len(values):
         raise ShapeError(f"locations of shape {y.shape} for {len(values)} {what}")
-    np.savetxt(path, np.hstack([y, values]), "%.17g", ",", comments="",
-               header=",".join([*(f"y{j + 1}" for j in range(y.shape[1])), *names]))
+    with replacing(path) as fh:
+        np.savetxt(fh, np.hstack([y, values]), "%.17g", ",", comments="",
+                   header=",".join([*(f"y{j + 1}" for j in range(y.shape[1])), *names]))
 
 
 def evaluate_model(model, u_samples, v_targets, y_locations,

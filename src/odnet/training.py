@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
+from .evaluation import replacing
 
 OPTIMIZERS = ("adam", "adamw")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
@@ -68,8 +69,9 @@ class TrainReport:
 
     def to_csv(self, path):
         rows = np.column_stack([range(self.epochs_run), self.losses, self.lrs, self.epoch_seconds])
-        np.savetxt(path, rows, "%d,%.17g,%.17g,%.6g", header="epoch,loss,lr,seconds",
-                   comments="")
+        with replacing(path) as fh:
+            np.savetxt(fh, rows, "%d,%.17g,%.17g,%.6g", header="epoch,loss,lr,seconds",
+                       comments="")
 
 
 def mse_loss(pred: ad.Tensor, target, tape: ad.Tape | None = None) -> ad.Tensor:

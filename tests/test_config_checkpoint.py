@@ -1,8 +1,11 @@
 import dataclasses
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import odnet.data
 
 from odnet.checkpoint import load_checkpoint, read_checkpoint_raw, save_checkpoint
 from odnet.data import (gen_antiderivative, RDParams, gen_reaction_diffusion_2d, stored_crc,
@@ -400,3 +403,22 @@ def test_writers_golden_bytes(tmp_path):
     save_checkpoint(build_model(cfg, ds, np.arange(4), seed=0), older, odm, seed=0)
     assert (odm.stat().st_size, f"{stored_crc(odm):08x}") == (1670, "87f31078")
     assert load_checkpoint(str(odm), ds)[1] == older
+
+
+def test_a_checkpoint_save_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch):
+    # the blob is written, then the CRC32 trailer fails: the target is
+    # replaced only once a whole file exists
+    cfg = parse_config(FUZZ_CFG)
+    ds = generate_dataset(cfg.data)
+    odm = tmp_path / "m.odm"
+    save_checkpoint(build_model(cfg, ds, np.arange(4), seed=0), cfg.text, odm, seed=0)
+    old = odm.read_bytes()
+
+    def crc32(blob):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(odnet.data, "zlib", types.SimpleNamespace(crc32=crc32))
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(build_model(cfg, ds, np.arange(4), seed=1), cfg.text, odm, seed=1)
+    assert odm.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.odm"]

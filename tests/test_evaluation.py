@@ -1,3 +1,4 @@
+import os
 import zlib
 
 import numpy as np
@@ -12,6 +13,7 @@ from odnet.evaluation import (
     mean_relative_l2,
     per_function_relative_l2,
     relative_l2,
+    replacing,
     spatial_mse,
     vector_field_magnitude,
     write_location_csv,
@@ -213,6 +215,27 @@ def test_csv_writers_golden_bytes(tmp_path):
         b"inf,-0,1e+308,-inf,0.33333333333333331\n"
         b"0.10000000000000001,nan,4.9406564584124654e-324,2,-1e-300\n"
     )
+
+
+def test_a_loss_csv_rewrite_that_fails_midway_keeps_the_old_file(tmp_path):
+    # the header is written before the row that cannot be formatted
+    path = tmp_path / "loss.csv"
+    TrainReport([0.5], [1e-3], [0.25]).to_csv(path)
+    old = path.read_bytes()
+    with pytest.raises((TypeError, ValueError)):
+        TrainReport([0.25, "x"], [1e-3, 1e-3], [0.25, 0.25]).to_csv(path)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv"]
+
+
+def test_a_replaced_file_has_the_mode_of_a_plain_open(tmp_path):
+    with replacing(tmp_path / "new.bin") as fh:
+        fh.write(b"x")
+    with open(tmp_path / "plain.bin", "wb") as fh:
+        fh.write(b"x")
+    assert (os.stat(tmp_path / "new.bin").st_mode
+            == os.stat(tmp_path / "plain.bin").st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.bin", "plain.bin"]
 
 
 @pytest.mark.parametrize("rows", [1, 3])

@@ -68,3 +68,45 @@ def test_every_module_level_definition_is_used_or_exported():
               and name not in odnet.__all__ and (module, name) not in used_pairs
               and name not in LOADS[module]]
     assert unused == []
+
+
+HELPER = "replacing"  # evaluation.replacing: write to a .part file, then rename it
+
+
+def _is_call(node, name):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+
+def _calls(tree, name):
+    return [n for n in ast.walk(tree) if _is_call(n, name)]
+
+
+def test_every_file_is_written_through_the_replace_helper():
+    """No ``open`` for writing outside the helper, and every ``np.savetxt``
+    writes to the handle of a ``with replacing(...) as <name>`` around it."""
+    helper = next(n for n in ast.walk(TREES["evaluation"])
+                  if isinstance(n, ast.FunctionDef) and n.name == HELPER)
+    inside = {id(n) for n in ast.walk(helper)}
+    bypasses = []
+    for module, tree in TREES.items():
+        for call in _calls(tree, "open"):
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                          and not set(mode.value) & set("wax+"))
+            if writes and id(call) not in inside:
+                bypasses.append(f"{module}.py:{call.lineno} open")
+        bound = set()  # savetxt calls writing to a handle bound by the helper
+        for node in ast.walk(tree):
+            if isinstance(node, ast.With):
+                handles = {item.optional_vars.id for item in node.items
+                           if isinstance(item.optional_vars, ast.Name)
+                           and _is_call(item.context_expr, HELPER)}
+                bound |= {id(c) for stmt in node.body for c in _calls(stmt, "savetxt")
+                          if c.args and isinstance(c.args[0], ast.Name)
+                          and c.args[0].id in handles}
+        bypasses += [f"{module}.py:{c.lineno} savetxt" for c in _calls(tree, "savetxt")
+                     if id(c) not in bound]
+    assert bypasses == []
