@@ -458,18 +458,37 @@ PINNED_HASHES = {
     "rd2d-vanilla.ini": "84ae420d",
 }
 
+# Per config, after the same 20 epochs: the CRC32 of the full-batch loss
+# history's float64 bytes, and the parameter_hash() at batch_size = 64 (four
+# batches of the 200 training functions, the last of 8 rows).
+PINNED_LOSSES_AND_MINIBATCH_HASHES = {
+    "antiderivative-vanilla.ini": ("bcd0d2c7", "556c8025"),
+    "rd2d-modified-pod.ini": ("2d4496ec", "1ce3ca1e"),
+    "rd2d-p-plus-1-vanilla.ini": ("14a90c04", "d02e2f14"),
+    "rd2d-pod-pou.ini": ("13647624", "f76ee75c"),
+    "rd2d-pod.ini": ("22f58951", "856b797a"),
+    "rd2d-vanilla-pod-pou.ini": ("12b2e6d7", "4750b7af"),
+    "rd2d-vanilla-pod.ini": ("b2b7472a", "51942a6e"),
+    "rd2d-vanilla-pou.ini": ("704698b9", "a0a6b105"),
+    "rd2d-vanilla.ini": ("1d45cb0c", "2d86381c"),
+}
+
 _HASH_SCRIPT = """
-import dataclasses, sys
+import dataclasses, sys, zlib
+import numpy as np
 from odnet import build_model, generate_dataset, parse_config, split_indices, train
 for path in sys.argv[1:]:
     cfg = parse_config(open(path).read())
     ds = generate_dataset(cfg.data)
     train_idx, _ = split_indices(ds.n_samples, cfg.eval.test_count, cfg.eval.split_seed)
-    model = build_model(cfg, ds, train_idx, 0)
     targets = ds.scalar_targets()
-    train(model, ds.U[train_idx], targets[train_idx], ds.Y,
-          dataclasses.replace(cfg.train, epochs=20))
-    print(model.parameter_hash())
+    for batch_size in (0, 64):
+        model = build_model(cfg, ds, train_idx, 0)
+        report = train(model, ds.U[train_idx], targets[train_idx], ds.Y,
+                       dataclasses.replace(cfg.train, epochs=20, batch_size=batch_size))
+        print(model.parameter_hash())
+        if batch_size == 0:
+            print(f"{zlib.crc32(np.array(report.losses).tobytes()):08x}")
 """
 
 
@@ -504,4 +523,6 @@ def test_twenty_epoch_hashes_of_bundled_configs_are_pinned():
     names = sorted(PINNED_HASHES)
     out = subprocess.run([sys.executable, "-c", _HASH_SCRIPT, *(str(CONFIG_DIR / n) for n in names)],
                          env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert dict(zip(names, out.stdout.split())) == PINNED_HASHES
+    got = out.stdout.split()  # per config: hash, loss-history CRC, batch-64 hash
+    assert dict(zip(names, got[0::3])) == PINNED_HASHES
+    assert dict(zip(names, zip(got[1::3], got[2::3]))) == PINNED_LOSSES_AND_MINIBATCH_HASHES
