@@ -152,31 +152,26 @@ def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainRe
     u = np.asarray(u_samples, dtype=np.float64)
     v = np.asarray(v_targets, dtype=np.float64)
     y = np.asarray(y_locations, dtype=np.float64)
-    if u.shape[0] != v.shape[0]:
-        raise ShapeError(f"got {u.shape[0]} inputs but {v.shape[0]} targets")
+    if not 0 < u.shape[0] == v.shape[0]:
+        raise ShapeError(f"need as many targets as inputs, at least one: got {u.shape[0]} "
+                         f"inputs and {v.shape[0]} targets")
     optimizer = make_optimizer(model, cfg)
     report = TrainReport()
     decay_every = cfg.effective_decay_step()
     rng = np.random.default_rng(cfg.seed)
     n = u.shape[0]
-    batch = n if cfg.batch_size <= 0 else min(cfg.batch_size, n)
-
-    u_full = ad.Tensor(u)
-    v_full = ad.Tensor(v)
+    batch = cfg.batch_size or n
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         lr = inverse_time_lr(cfg.lr0, cfg.gamma, decay_every, epoch)
+        rows = slice(None) if batch >= n else rng.permutation(n)
+        u_epoch, v_epoch = u[rows], v[rows]  # views for the full batch
+        epoch_loss = 0.0
         try:
-            if batch == n:
-                epoch_loss = _step(model, optimizer, u_full, v_full, y, lr)
-            else:
-                order = rng.permutation(n)
-                total = 0.0
-                for lo in range(0, n, batch):
-                    sel = order[lo: lo + batch]
-                    loss = _step(model, optimizer, ad.Tensor(u[sel]), ad.Tensor(v[sel]), y, lr)
-                    total += loss * sel.size
-                epoch_loss = total / n
+            for lo in range(0, n, batch):
+                u_b, v_b = u_epoch[lo:lo + batch], v_epoch[lo:lo + batch]
+                loss = _step(model, optimizer, ad.Tensor(u_b), ad.Tensor(v_b), y, lr)
+                epoch_loss += loss * (len(u_b) / n)
         except NumericError as exc:
             raise _aborted(epoch, report, str(exc)) from None
         elapsed = time.perf_counter() - start
