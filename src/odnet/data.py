@@ -297,7 +297,7 @@ def _rd_schedule(params: RDParams):
     y1, y2 = np.meshgrid(centers, centers, indexing="ij")
     space = 1.0 + np.cos(2.0 * np.pi * y1) * np.cos(2.0 * np.pi * y2)
     dt = params.step_size()
-    steps = int(np.ceil(params.t_final / dt - 1e-12))
+    steps = int(np.ceil(params.t_final / dt * (1.0 - 1e-12)))
     steps_and_decays = []
     t = 0.0
     for _ in range(steps):

@@ -10,6 +10,7 @@ from odnet.data import (
     RD_CHUNK_VALUES,
     OperatorDataset,
     RDParams,
+    _rd_schedule,
     gen_antiderivative,
     gen_reaction_diffusion_2d,
     read_dataset,
@@ -161,6 +162,19 @@ def test_rd_stability_bound_rejected():
     RDParams(n=32, dt=0.5 * p.stability_bound())
 
 
+@pytest.mark.parametrize("params, count", [
+    (RDParams(n=48, nu=18.49), 23668),  # t_final / step_size() rounds to 23668.000000000004
+    (RDParams(n=48, nu=19.3), 24705),
+    (RDParams(n=8, dt=0.5 / 24758), 24758),
+])
+def test_rd_schedule_takes_no_sliver_of_a_step(params, count):
+    # an absolute 1e-12 on the step count let a rounding error of the
+    # quotient add a trailing step of length 0 or about 1e-13
+    steps = [dt_k for dt_k, _ in _rd_schedule(params)[1]]
+    assert len(steps) == count
+    assert min(steps) > 0.5 * params.step_size()
+
+
 def test_rd_dataset_shapes_and_inputs():
     params = RDParams(n=8, branch_grid=4)
     ds = gen_reaction_diffusion_2d(params, 3, seed=5)
@@ -212,7 +226,7 @@ def _reference_rd(params, c0):
     on_field = np.where(y1 <= params.switch, params.k_on, 0.0)
     off_field = np.where(y1 <= params.switch, params.k_off, 0.0)
     dt = params.step_size()
-    steps = int(np.ceil(params.t_final / dt - 1e-12))
+    steps = int(np.ceil(params.t_final / dt * (1.0 - 1e-12)))
     inv_h2 = 1.0 / (params.h * params.h)
     cap = params.reaction_cap
     t = 0.0
