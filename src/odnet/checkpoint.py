@@ -3,7 +3,8 @@
 The file is sealed like ODN1 (see ``data``): magic "ODNMDL01", u32
 version = 1, these fields, then the CRC32 of all prior bytes.
     text     run configuration
-    text     attributes, "key=value" lines: member kinds, dims, seed, ...
+    text     attributes, "key=value" lines: member kinds, dims, seed, and
+             (from ``odnet train``) the dataset's ``data_*`` record
     u32      array count, then per array:
                  text name, u32 ndim, u32 dims (one 1 for a scalar), f64 data
 
@@ -100,9 +101,11 @@ def parameter_counts(arrays: dict) -> dict:
     return counts
 
 
-def save_checkpoint(model: EnsembleModel, config_text: str, path, seed: int = 0):
+def save_checkpoint(model: EnsembleModel, config_text: str, path, seed: int = 0,
+                    data: dict | None = None):
+    """``data`` names the dataset trained on, as ``data_*`` attributes."""
     attrs, arrays = collect_state(model)
-    attrs["seed"] = str(int(seed))
+    attrs.update(data or {}, seed=str(int(seed)))
     w = _SealedWriter(MAGIC, FORMAT_VERSION)
     w.text(config_text)
     w.kv(attrs)
@@ -129,8 +132,10 @@ def read_checkpoint_raw(path):
 
 
 def _contents(attrs: dict, arrays: dict) -> dict:
-    """Every attribute but the seed, and every array's shape and bytes, by name."""
-    return {**{f"attribute {k}": v for k, v in attrs.items() if k != "seed"},
+    """Every attribute but the seed and the ``data_*`` record, and every
+    array's shape and bytes, by name."""
+    return {**{f"attribute {k}": v for k, v in attrs.items()
+               if k != "seed" and not k.startswith("data_")},
             **{f"array {name}": (a.shape, a.tobytes()) for name, a in arrays.items()}}
 
 
@@ -139,9 +144,10 @@ def load_checkpoint(path, dataset: OperatorDataset | None = None):
 
     The stored config gives the structure (``runconfig.assemble_model``)
     and the stored arrays fill it in. The file must be exactly what that
-    model writes, the seed aside: a file whose attributes or arrays do not
-    fit its config raises DataError. ``dataset`` is needed only for POD
-    members, and its Y must hash-match their stored reference."""
+    model writes, the seed and the dataset record aside: a file whose
+    attributes or arrays do not fit its config raises DataError. ``dataset``
+    is needed only for POD members, and its Y must hash-match their stored
+    reference."""
     config_text, attrs, arrays = read_checkpoint_raw(path)
     cfg = parse_config(config_text)
 

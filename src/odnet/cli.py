@@ -8,7 +8,8 @@ allocation numpy could not make), 130 interrupted. Every run writes a
 manifest (config text, seed, versions, the BLAS thread variables of the
 environment; for train, eval and export-basis also the dataset file, its
 stored CRC32, sample count, generator and seed; for train also each POD
-member's numerical rank) alongside its outputs.
+member's numerical rank) alongside its outputs. A train checkpoint
+records the same dataset fields as attributes.
 """
 
 from __future__ import annotations
@@ -114,10 +115,11 @@ def _train_one_seed(cfg, dataset_path: str, seed: int, out_prefix: str):
         if getattr(exc, "report", None) is not None:
             exc.report.to_csv(losscsv)
         raise
-    save_checkpoint(model, cfg.text, ckpt, seed=seed)
+    record = _data_record(dataset_path, ds)
+    save_checkpoint(model, cfg.text, ckpt, seed=seed, data=record)
     report.to_csv(losscsv)
     _write_manifest(f"{out_prefix}-seed{seed}.manifest.txt", cfg.text, seed,
-                    {**_data_record(dataset_path, ds), **pod_ranks(collect_state(model)[1])})
+                    {**record, **pod_ranks(collect_state(model)[1])})
     return seed, ckpt, report.losses[-1], report.mean_epoch_seconds(), model.parameter_hash()
 
 
@@ -131,6 +133,8 @@ def cmd_train(args) -> int:
     # the whole seed list is checked before the first run writes a file
     cfg = dataclasses.replace(cfg, seeds=seeds)
     _check_out_dirs(args, "out")
+    if "\n" in args.data:  # each checkpoint records the path as one attribute line
+        raise DataError(f"{args.data!r}: a dataset path holding a newline cannot be recorded")
     jobs = min(args.jobs, len(seeds))  # a fork pool starts all its workers at once
     results, died = [], []
 

@@ -484,6 +484,53 @@ def test_train_manifest_names_its_dataset(tmp_path):
     assert _manifest_config(tmp_path / "run-seed0.manifest.txt").data.n == 8
 
 
+def test_a_train_checkpoint_records_its_dataset(tmp_path, capsys):
+    cfg = tmp_path / "rd.ini"
+    cfg.write_text(RD_CFG)
+    data = tmp_path / "rd.odn"
+    assert main(["gen", str(cfg), "--out", str(data), "--n", "12", "--seed", "4"]) == 0
+    assert main(["train", str(cfg), str(data), "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+    trained_hash = capsys.readouterr().out.split(" params=")[1].split()[0]
+    ckpt = tmp_path / "run-seed0.odm"
+    assert main(["inspect", str(ckpt)]) == 0
+    out = capsys.readouterr().out
+    (crc,) = struct.unpack("<I", data.read_bytes()[-4:])
+    assert f"  data_crc32={crc:08x}\n" in out
+    # the checkpoint's record is the manifest's, line for line
+    printed = dict(line.strip().split("=", 1) for line in out.splitlines()[1:])
+    fields = _manifest_fields(tmp_path / "run-seed0.manifest.txt")
+    record = {k: v for k, v in printed.items() if k.startswith("data_")}
+    assert record == {k: v for k, v in fields.items() if k.startswith("data_")}
+    assert sorted(record) == ["data_crc32", "data_file", "data_generator", "data_samples",
+                              "data_seed"]
+    # it loads, and evaluates to the bits of the same model saved without it
+    model, text, _ = load_checkpoint(str(ckpt))
+    assert model.parameter_hash() == trained_hash
+    bare = tmp_path / "bare.odm"
+    save_checkpoint(model, text, bare, seed=0)
+    assert (_eval_csv(bare, str(data), tmp_path / "bare.csv")
+            == _eval_csv(ckpt, str(data), tmp_path / "run.csv"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_dataset_path_holding_a_newline_exits_3_before_any_run(jobs, anti_config, tmp_path,
+                                                                 capsys, monkeypatch):
+    data = tmp_path / "anti\n.odn"
+    assert main(["gen", anti_config, "--out", str(data)]) == 0
+    written = set(tmp_path.rglob("*"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("trained on a dataset whose path cannot be recorded")
+
+    monkeypatch.setattr("odnet.cli.train", no_run)
+    capsys.readouterr()
+    assert main(["train", anti_config, str(data), "--out", str(tmp_path / "run"),
+                 "--seeds", "0,1", "--jobs", jobs]) == 3
+    assert capsys.readouterr().err == (f"data error: {str(data)!r}: a dataset path holding "
+                                       "a newline cannot be recorded\n")
+    assert set(tmp_path.rglob("*")) == written
+
+
 def test_manifests_record_the_blas_thread_variables(anti_config, tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
