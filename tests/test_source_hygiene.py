@@ -1,6 +1,7 @@
 """Static checks over the package source, with ``ast`` only: no module
-imports a name it never reads, and no module-level definition is left
-that nothing in the package reads, imports or exports."""
+imports a name it never reads, no module-level definition is left that
+nothing in the package reads, imports or exports, every file is written
+through one replace helper, and every random draw has a seed."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,21 @@ def test_every_file_is_written_through_the_replace_helper():
         bypasses += [f"{module}.py:{c.lineno} savetxt" for c in _calls(tree, "savetxt")
                      if id(c) not in bound]
     assert bypasses == []
+
+
+SEEDED = {"default_rng", "SeedSequence", "Generator"}  # np.random names that take a seed
+
+
+def test_every_random_draw_comes_from_a_seeded_generator():
+    """Runs are bit-identical per seed only if no draw reads numpy's global
+    random state: no other ``np.random.<name>``, and no ``default_rng()``
+    without a seed."""
+    unseeded = []
+    for module, tree in TREES.items():
+        unseeded += [f"{module}.py:{n.lineno} np.random.{n.attr}" for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and n.attr not in SEEDED
+                     and isinstance(n.value, ast.Attribute) and n.value.attr == "random"
+                     and isinstance(n.value.value, ast.Name) and n.value.value.id == "np"]
+        unseeded += [f"{module}.py:{c.lineno} default_rng()" for c in _calls(tree, "default_rng")
+                     if not c.args and not c.keywords]
+    assert unseeded == []
