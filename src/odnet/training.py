@@ -1,11 +1,13 @@
 """Loss, the Adam update, the inverse-time schedule, and the training loop.
 
-Training is full-batch by default (desk-scale datasets are small); set
-``batch_size`` for mini-batching over function indices. POD trunk members
-hold no trainable tensors, so they are frozen by construction. The
-optimizer holds the update rule's facts: which tensors AdamW decays (the
-2-d ones) and clearing the gradients it steps, so ``train`` asks a model
-only for ``predict`` and ``parameters``.
+One loop runs every epoch over row batches: the full batch, the default
+(desk-scale datasets are small), is its one-batch case, and a
+``batch_size`` below the row count steps over a seeded permutation of the
+rows each epoch. A mini-batch epoch's loss is the batch losses weighted by
+their share of rows. POD trunk members hold no trainable tensors, so they
+are frozen by construction. The optimizer holds the update rule's facts:
+which tensors AdamW decays (the 2-d ones) and clearing the gradients it
+steps, so ``train`` asks a model only for ``predict`` and ``parameters``.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ def make_optimizer(model, cfg: TrainConfig):
 
 @np.errstate(over="ignore", invalid="ignore")  # the loss check reports a divergence
 def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainReport:
-    """Full forward -> MSE -> backward -> optimizer-step epochs at the
-    fixed locations ``y_locations``. Each step passes them to
+    """Epochs of forward -> MSE -> backward -> optimizer-step batch steps
+    at the fixed locations ``y_locations``. Each step passes them to
     ``model.predict``; the model works out what depends only on them on
     the first step and keeps it while they are unchanged.
 
