@@ -141,7 +141,7 @@ def make_optimizer(model, cfg: TrainConfig):
 
 @np.errstate(over="ignore", invalid="ignore")  # the loss check reports a divergence
 def train(model, u_samples, v_targets, y_locations, cfg: TrainConfig) -> TrainReport:
-    """Epochs of forward -> MSE -> backward -> optimizer-step batch steps
+    """Epochs of batch steps (forward -> MSE -> backward -> optimizer step)
     at the fixed locations ``y_locations``. Each step passes them to
     ``model.predict``; the model works out what depends only on them on
     the first step and keeps it while they are unchanged.

@@ -501,8 +501,6 @@ def test_a_train_checkpoint_records_its_dataset(tmp_path, capsys):
     fields = _manifest_fields(tmp_path / "run-seed0.manifest.txt")
     record = {k: v for k, v in printed.items() if k.startswith("data_")}
     assert record == {k: v for k, v in fields.items() if k.startswith("data_")}
-    assert sorted(record) == ["data_crc32", "data_file", "data_generator", "data_samples",
-                              "data_seed"]
     # it loads, and evaluates to the bits of the same model saved without it
     model, text, _ = load_checkpoint(str(ckpt))
     assert model.parameter_hash() == trained_hash
