@@ -398,6 +398,15 @@ def test_a_batch_of_at_least_n_is_the_full_batch():
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+@pytest.mark.parametrize("batch_size", [0, 4])
+def test_no_functions_or_unpaired_targets_is_a_shape_error(batch_size):
+    u, v, y = _toy_problem(np.random.default_rng(12), n=10)
+    cfg = TrainConfig(epochs=2, batch_size=batch_size)
+    for inputs, targets in ((u[:0], v[:0]), (u, v[:9])):
+        with pytest.raises(ShapeError, match="as many targets as inputs, at least one"):
+            train(_vanilla_model(seed=12), inputs, targets, y, cfg)
+
+
 def _minibatch_run(seed, epochs=4):
     u, v, y = _toy_problem(np.random.default_rng(13), n=10)
     model = _Recording(_vanilla_model(seed=13))
