@@ -510,20 +510,30 @@ def test_a_train_checkpoint_records_its_dataset(tmp_path, capsys):
             == _eval_csv(ckpt, str(data), tmp_path / "run.csv"))
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_dataset_path_holding_a_newline_exits_3_before_any_run(jobs, anti_config, tmp_path,
-                                                                 capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "{config}", "{data}", "--out", "run2", "--seeds", "0,1",
+                  "--jobs", "1"], id="1"),
+    pytest.param(["train", "{config}", "{data}", "--out", "run2", "--seeds", "0,1",
+                  "--jobs", "2"], id="2"),
+    pytest.param(["eval", "{ckpt}", "{data}", "--out", "e.csv", "--mse-out", "m.csv"], id="eval"),
+    pytest.param(["export-basis", "{ckpt}", "{data}", "--columns", "0", "--out", "b.csv"],
+                 id="export-basis"),
+])
+def test_a_dataset_path_holding_a_newline_exits_3_before_any_run(argv, anti_config, anti_run,
+                                                                 tmp_path, capsys, monkeypatch):
     data = tmp_path / "anti\n.odn"
-    assert main(["gen", anti_config, "--out", str(data)]) == 0
+    data.write_bytes(Path(anti_run[0]).read_bytes())
+    monkeypatch.chdir(tmp_path)
     written = set(tmp_path.rglob("*"))
 
     def no_run(*args, **kwargs):
-        raise AssertionError("trained on a dataset whose path cannot be recorded")
+        raise AssertionError("ran on a dataset whose path cannot be recorded")
 
-    monkeypatch.setattr("odnet.cli.train", no_run)
+    for name in ("train", "evaluate_model", "export_basis"):
+        monkeypatch.setattr(f"odnet.cli.{name}", no_run)
+    argv = [arg.format(config=anti_config, ckpt=anti_run[1], data=data) for arg in argv]
     capsys.readouterr()
-    assert main(["train", anti_config, str(data), "--out", str(tmp_path / "run"),
-                 "--seeds", "0,1", "--jobs", jobs]) == 3
+    assert main(argv) == 3
     assert capsys.readouterr().err == (f"data error: {str(data)!r}: a dataset path holding "
                                        "a newline cannot be recorded\n")
     assert set(tmp_path.rglob("*")) == written
@@ -763,6 +773,32 @@ def test_an_output_into_a_missing_directory_exits_3_before_any_work(
     assert main(argv) == 3
     assert capsys.readouterr().err == f"data error: {flag} {missing}: no directory {missing.parent}\n"
     assert set(tmp_path.rglob("*")) == written
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["eval", "{ckpt}", "{data}", "--out", "{ckpt}"],
+     "--out {ckpt}: the same file as checkpoint {ckpt}"),
+    (["eval", "{ckpt}", "{data}", "--mse-out", "{data}"],
+     "--mse-out {data}: the same file as data {data}"),
+    (["eval", "{ckpt}", "{data}", "--out", "r.csv", "--mse-out", "r.csv"],
+     "--mse-out r.csv: the same file as --out r.csv"),
+    (["export-basis", "{ckpt}", "{data}", "--columns", "0", "--out", "{ckpt}"],
+     "--out {ckpt}: the same file as checkpoint {ckpt}"),
+    (["export-basis", "{ckpt}", "{data}", "--columns", "0", "--out", "./anti.odn"],
+     "--out ./anti.odn: the same file as data {data}"),
+    (["gen", "{config}", "--out", "anti.ini", "--force"],
+     "--out anti.ini: the same file as config {config}"),
+], ids=["eval-out", "eval-mse-out", "eval-out-and-mse-out", "export-basis-checkpoint",
+        "export-basis-data", "gen"])
+def test_an_output_naming_an_input_or_another_output_exits_3_before_any_work(
+        argv, refusal, anti_config, anti_run, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative outputs name the same files as the absolute inputs
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    names = {"config": anti_config, "ckpt": anti_run[1], "data": anti_run[0]}
+    capsys.readouterr()
+    assert main([arg.format(**names) for arg in argv]) == 3
+    assert capsys.readouterr().err == f"data error: {refusal.format(**names)}\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
@@ -1018,6 +1054,14 @@ def test_inspect_both_formats(pod_config, tmp_path, capsys):
     save_checkpoint(model, text, str(tmp_path / "old.odm"))
     assert main(["inspect", str(tmp_path / "old.odm")]) == 0
     assert "  pod_rank.member1=2/3\n" in capsys.readouterr().out
+
+
+def test_inspect_splits_records_at_newlines_alone(tmp_path, capsys):
+    ds = gen_antiderivative(3, grid=8)
+    ds.metadata["note"] = "a\rb\x85c"  # str.splitlines would break this value twice
+    write_dataset(ds, tmp_path / "d.odn")
+    assert main(["inspect", str(tmp_path / "d.odn")]) == 0
+    assert "\n  note=a\rb\x85c\n" in capsys.readouterr().out
 
 
 # --- malformed files that pass their CRC32 exit 3, without a traceback ---

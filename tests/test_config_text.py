@@ -50,7 +50,9 @@ DATA_VALUES = {
     "n": st.integers(1, 10**6), "seed": seeds, "grid": st.integers(),
     "modes": st.integers(min_value=1), "branch_grid": st.integers(1, 10**4),
     "dt": st.none() | reals, "nu": reals, "t_final": reals,
-    "path": st.from_regex(r"[A-Za-z0-9_./-]{0,30}\.odn", fullmatch=True),
+    # any text DataSpec accepts: no newline and no surrounding whitespace
+    "path": st.text(st.sampled_from(" =#%\r\t;:[]é") | st.characters(exclude_characters="\n"),
+                    min_size=1).map(str.strip).filter(bool),
 }
 
 
@@ -88,6 +90,19 @@ def test_text_round_trips(cfg):
     again = parse_config(text)
     assert again == cfg
     assert again.text == text
+
+
+@pytest.mark.parametrize("path", ["a\nb.odn", " a.odn", "a.odn\r"])
+def test_a_data_path_that_would_not_parse_back_is_refused(path):
+    with pytest.raises(ConfigError, match=r"^\[data\] path "):
+        DataSpec("file", path=path)
+
+
+def test_a_data_path_continued_onto_a_second_line_is_refused():
+    text = RunConfig(DataSpec("file", path="a.odn"), [TrunkSpec("v", "vanilla", 2, hidden=(3,))],
+                     TrainConfig()).text
+    with pytest.raises(ConfigError, match=r"^\[data\] path "):
+        parse_config(text.replace("path = a.odn\n", "path = a\n  b.odn\n"))
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

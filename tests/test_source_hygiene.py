@@ -1,7 +1,8 @@
 """Static checks over the package source, with ``ast`` only: no module
 imports a name it never reads, no module-level definition is left that
 nothing in the package reads, imports or exports, every file is written
-through one replace helper, and every random draw has a seed."""
+through one replace helper, every random draw has a seed, and every
+``key=value`` record line is formatted by one encoder."""
 
 import ast
 from pathlib import Path
@@ -129,3 +130,26 @@ def test_every_random_draw_comes_from_a_seeded_generator():
         unseeded += [f"{module}.py:{c.lineno} default_rng()" for c in _calls(tree, "default_rng")
                      if not c.args and not c.keywords]
     assert unseeded == []
+
+
+ENCODER = "kv_lines"  # data.kv_lines: the one formatter of key=value record lines
+
+
+def test_every_key_value_line_is_formatted_by_the_encoder():
+    """A record line written or printed elsewhere would skip the encoder's
+    check that it parses back: no f-string outside it has a literal part
+    that is exactly ``=`` between two replacement fields."""
+    encoder = next(n for n in ast.walk(TREES["data"])
+                   if isinstance(n, ast.FunctionDef) and n.name == ENCODER)
+    inside = {id(n) for n in ast.walk(encoder)}
+    formatters = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and id(node) not in inside:
+                parts = node.values
+                formatters += [f"{module}.py:{node.lineno}"
+                               for a, eq, b in zip(parts, parts[1:], parts[2:])
+                               if isinstance(a, ast.FormattedValue)
+                               and isinstance(b, ast.FormattedValue)
+                               and isinstance(eq, ast.Constant) and eq.value == "="]
+    assert formatters == []
