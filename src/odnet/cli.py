@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import (MAGIC as ODM1_MAGIC, collect_state, load_checkpoint, parameter_counts,
                          pod_ranks, read_checkpoint_raw, save_checkpoint)
-from .data import MAGIC as ODN1_MAGIC, read_dataset, stored_crc, write_dataset
+from .data import MAGIC as ODN1_MAGIC, kv_lines, read_dataset, stored_crc, write_dataset
 from .errors import ConfigError, DataError, NumericError, OdnetError
 from .evaluation import evaluate_model, replacing, write_location_csv
 from .runconfig import (GENERATOR_KEYS, _ints, build_model, data_generator, generate_dataset,
@@ -62,14 +62,15 @@ def _write_manifest(path, config_text: str, seed, data: dict | None = None) -> N
               **{f"env.{var}": os.environ.get(var, "unset")
                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
               "seed": seed, **(data or {})}
-    text = "".join(f"{key}={value}\n" for key, value in fields.items())
     with replacing(path) as fh:
-        fh.write(f"{text}config:\n{config_text}".encode("utf-8"))
+        fh.write(f"{kv_lines(fields)}config:\n{config_text}".encode("utf-8"))
 
 
-def _check_out_dirs(args, *dests):
-    """Refuse, naming its flag, an output path whose directory is missing."""
-    for dest in dests:
+def _check_paths(args, *outputs):
+    """Refuse an unrecordable dataset path, and, naming its flag, an output's missing directory."""
+    if hasattr(args, "data"):  # train, eval and export-basis record it as data_file
+        kv_lines({"data_file": args.data})
+    for dest in outputs:
         path = getattr(args, dest)
         out_dir = os.path.dirname(path)
         if out_dir and not os.path.isdir(out_dir):
@@ -91,7 +92,7 @@ def cmd_gen(args) -> int:
     cfg = dataclasses.replace(cfg, data=_override(cfg.data, **flags))
     if os.path.exists(args.out) and not args.force:
         raise DataError(f"{args.out} exists; pass --force to overwrite")
-    _check_out_dirs(args, "out")
+    _check_paths(args, "out")
     ds = generate_dataset(cfg.data)
     write_dataset(ds, args.out)
     _write_manifest(args.out + ".manifest.txt", cfg.text, cfg.data.seed)
@@ -132,9 +133,7 @@ def cmd_train(args) -> int:
     seeds = args.seeds or cfg.seeds
     # the whole seed list is checked before the first run writes a file
     cfg = dataclasses.replace(cfg, seeds=seeds)
-    _check_out_dirs(args, "out")
-    if "\n" in args.data:  # each checkpoint records the path as one attribute line
-        raise DataError(f"{args.data!r}: a dataset path holding a newline cannot be recorded")
+    _check_paths(args, "out")
     jobs = min(args.jobs, len(seeds))  # a fork pool starts all its workers at once
     results, died = [], []
 
@@ -177,7 +176,7 @@ def _select_split(cfg, ds, which: str):
 
 
 def cmd_eval(args) -> int:
-    _check_out_dirs(args, "out", "mse_out")
+    _check_paths(args, "out", "mse_out")
     ds = read_dataset(args.data)
     model, config_text, attrs = load_checkpoint(args.checkpoint, ds)
     cfg = parse_config(config_text)
@@ -201,7 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_basis(args) -> int:
-    _check_out_dirs(args, "out")
+    _check_paths(args, "out")
     ds = read_dataset(args.data)
     model, config_text, attrs = load_checkpoint(args.checkpoint, ds)
     columns = args.columns
@@ -226,19 +225,19 @@ def cmd_inspect(args) -> int:
         ds = read_dataset(args.path)
         print(f"ODN1 dataset: N={ds.n_samples} N_x={ds.n_x} N_y={ds.n_y} "
               f"d_u={ds.d_u} d_v={ds.d_v} c={ds.n_components}")
-        for k, v in sorted({"name": ds.name, **ds.metadata}.items()):
-            print(f"  {k}={v}")
-        return 0
-    if magic == ODM1_MAGIC:
-        config_text, attrs, arrays = read_checkpoint_raw(args.path)
+        records = [dict(sorted({"name": ds.name, **ds.metadata}.items()))]
+    elif magic == ODM1_MAGIC:
+        _, attrs, arrays = read_checkpoint_raw(args.path)
         print(f"ODM1 checkpoint: {len(arrays)} arrays")
-        for k in sorted(attrs):
-            print(f"  {k}={attrs[k]}")
         total = {"total_values": sum(a.size for a in arrays.values())}
-        for k, v in {**pod_ranks(arrays), **total, **parameter_counts(arrays)}.items():
-            print(f"  {k}={v}")
-        return 0
-    raise DataError(f"{args.path}: unknown magic {magic!r}")
+        records = [dict(sorted(attrs.items())),
+                   {**pod_ranks(arrays), **total, **parameter_counts(arrays)}]
+    else:
+        raise DataError(f"{args.path}: unknown magic {magic!r}")
+    # split at "\n" alone, as readers split records (textwrap.indent also splits at "\r")
+    for line in "".join(map(kv_lines, records)).split("\n")[:-1]:
+        print(f"  {line}")
+    return 0
 
 
 def _int_list(raw: str) -> list:

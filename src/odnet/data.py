@@ -401,6 +401,16 @@ def gen_reaction_diffusion_2d(params: RDParams, n_samples: int, seed: int = 0) -
     return OperatorDataset("rd2d", big_x, big_y, u, v, meta)
 
 
+def kv_lines(pairs: dict) -> str:
+    """``pairs`` as ``key=value\\n`` lines in the order given, the one format of
+    every record. Readers split them at ``\\n`` alone, so a key holding ``=``
+    or ``\\n``, or a value holding ``\\n``, raises DataError naming the pair."""
+    for k, v in pairs.items():
+        if "=" in str(k) or "\n" in f"{k}{v}":
+            raise DataError(f"{k!r}={v!r} is not encodable as one key=value line")
+    return "".join(f"{k}={v}\n" for k, v in pairs.items())
+
+
 class _SealedWriter:
     """Collects a sealed file's fields; ``save`` adds the CRC32 trailer."""
 
@@ -420,14 +430,8 @@ class _SealedWriter:
         self._parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     def kv(self, pairs: dict):
-        """A text field of sorted ``key=value`` lines."""
-        lines = []
-        for key in sorted(pairs):
-            k, v = str(key), str(pairs[key])
-            if "=" in k or "\n" in k or "\n" in v:
-                raise DataError(f"key/value not encodable as a line: {k!r}")
-            lines.append(f"{k}={v}\n")
-        self.text("".join(lines))
+        """A text field of ``key=value`` lines, sorted by key."""
+        self.text(kv_lines(dict(sorted(pairs.items()))))
 
     def save(self, path):
         blob = b"".join(self._parts)

@@ -534,8 +534,8 @@ def test_a_dataset_path_holding_a_newline_exits_3_before_any_run(argv, anti_conf
     argv = [arg.format(config=anti_config, ckpt=anti_run[1], data=data) for arg in argv]
     capsys.readouterr()
     assert main(argv) == 3
-    assert capsys.readouterr().err == (f"data error: {str(data)!r}: a dataset path holding "
-                                       "a newline cannot be recorded\n")
+    assert capsys.readouterr().err == (f"data error: 'data_file'={str(data)!r} is not "
+                                       "encodable as one key=value line\n")
     assert set(tmp_path.rglob("*")) == written
 
 
