@@ -66,15 +66,26 @@ def _write_manifest(path, config_text: str, seed, data: dict | None = None) -> N
         fh.write(f"{kv_lines(fields)}config:\n{config_text}".encode("utf-8"))
 
 
-def _check_paths(args, *outputs):
-    """Refuse an unrecordable dataset path, and, naming its flag, an output's missing directory."""
+def _check_paths(args, *outputs, inputs=()):
+    """Refuse, before any work, an unrecordable dataset path, and, naming its
+    flag, an output whose directory is missing or that is the same file
+    (after ``os.path.realpath``) as one of ``inputs`` or an earlier output."""
     if hasattr(args, "data"):  # train, eval and export-basis record it as data_file
         kv_lines({"data_file": args.data})
+    taken = {os.path.realpath(getattr(args, dest)): f"{dest} {getattr(args, dest)}"
+             for dest in inputs}
     for dest in outputs:
         path = getattr(args, dest)
+        if not path:  # eval's optional outputs
+            continue
+        flag = f"--{dest.replace('_', '-')} {path}"
         out_dir = os.path.dirname(path)
         if out_dir and not os.path.isdir(out_dir):
-            raise DataError(f"--{dest.replace('_', '-')} {path}: no directory {out_dir}")
+            raise DataError(f"{flag}: no directory {out_dir}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise DataError(f"{flag}: the same file as {taken[real]}")
+        taken[real] = flag
 
 
 def _override(spec, **values):
@@ -90,9 +101,9 @@ def cmd_gen(args) -> int:
         if value is not None and key not in GENERATOR_KEYS[cfg.data.generator]:
             raise ConfigError(f"--{key}: generator={cfg.data.generator} takes no {key}")
     cfg = dataclasses.replace(cfg, data=_override(cfg.data, **flags))
+    _check_paths(args, "out", inputs=("config",))
     if os.path.exists(args.out) and not args.force:
         raise DataError(f"{args.out} exists; pass --force to overwrite")
-    _check_paths(args, "out")
     ds = generate_dataset(cfg.data)
     write_dataset(ds, args.out)
     _write_manifest(args.out + ".manifest.txt", cfg.text, cfg.data.seed)
@@ -176,7 +187,7 @@ def _select_split(cfg, ds, which: str):
 
 
 def cmd_eval(args) -> int:
-    _check_paths(args, "out", "mse_out")
+    _check_paths(args, "out", "mse_out", inputs=("checkpoint", "data"))
     ds = read_dataset(args.data)
     model, config_text, attrs = load_checkpoint(args.checkpoint, ds)
     cfg = parse_config(config_text)
@@ -200,7 +211,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_basis(args) -> int:
-    _check_paths(args, "out")
+    _check_paths(args, "out", inputs=("checkpoint", "data"))
     ds = read_dataset(args.data)
     model, config_text, attrs = load_checkpoint(args.checkpoint, ds)
     columns = args.columns

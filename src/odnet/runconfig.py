@@ -106,6 +106,9 @@ class DataSpec:
                               f"(it takes {', '.join(own[1:])})")
         if self.generator == "file" and not self.path:
             raise ConfigError("[data] path is required for generator=file")
+        if "\n" in self.path or self.path != self.path.strip():
+            raise ConfigError(f"[data] path {self.path!r}: a newline or surrounding "
+                              "whitespace would not read back from the config text")
         for key, low in (("n", 1), ("modes", 1), ("branch_grid", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"[data] {key} must be >= {low}")
