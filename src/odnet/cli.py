@@ -9,7 +9,12 @@ manifest (config text, seed, versions, the BLAS thread variables of the
 environment; for train, eval and export-basis also the dataset file, its
 stored CRC32, sample count, generator and seed; for train also each POD
 member's numerical rank) alongside its outputs. A train checkpoint
-records the same dataset fields as attributes.
+records the same dataset fields as attributes. Manifests and what inspect
+prints are ``key=value`` lines from ``data.kv_lines``, each ended by
+``\n`` alone. Before any work, train, eval and export-basis refuse (exit
+3) a dataset path that cannot be recorded, and gen, eval and
+export-basis an output flag naming the same file as an input or another
+output flag.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ u32-length-prefixed UTF-8 text, f64 arrays), then the CRC32 of all prior
 bytes, all little-endian. ODN1's fields are:
     6 x u32   d_u, d_v, N_x, N_y, N, c
     f64[]     X (N_x x d_u), Y (N_y x d_v), U (N x N_x), V (N x N_y x c)
-    text      metadata, "key=value" lines
+    text      metadata, "key=value" lines (kv_lines), split at "\n" alone
 """
 
 from __future__ import annotations
